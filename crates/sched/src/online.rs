@@ -7,7 +7,7 @@
 //! and the plan for the *unscheduled suffix* is revised without ever
 //! touching the committed prefix. The event loop runs on a
 //! [`VirtualClock`] — time jumps from event to event, so a 10⁴-task replay
-//! takes seconds of wall time and is bit-reproducible.
+//! takes well under a second of wall time and is bit-reproducible.
 //!
 //! # The event loop
 //!
@@ -21,7 +21,8 @@
 //!   [`ReplanPolicy::EveryK`]);
 //! * **ReplanTriggered** — a deferred re-plan fires (pushed by
 //!   [`ReplanPolicy::Horizon`] when a candidate's start lies beyond the
-//!   current window).
+//!   current window; at most one is queued per virtual instant, since a
+//!   second one there would find the state unchanged and commit nothing).
 //!
 //! A *re-plan* greedily commits candidates — MemHEFT order or MemMinMin
 //! order, per [`OnlineFlavor`] — through the same incremental machinery as
@@ -38,6 +39,28 @@
 //! The committed prefix is immutable by construction: a commit only ever
 //! appends to the [`PartialSchedule`], and re-plans only look at
 //! uncommitted candidates.
+//!
+//! # Incremental upward ranks
+//!
+//! The MemHEFT flavor orders candidates by HEFT's upward rank over the
+//! *arrived* subgraph, and an arrival can raise the rank of every arrived
+//! ancestor. Instead of re-walking and re-sorting the arrived subgraph on
+//! each arrival, admission pushes the newcomers onto a worklist keyed by
+//! topological position and pops it children first. A popped task gets
+//! `mean_work + max(0, max over arrived children of rank + comm / 2)`;
+//! when that differs from its stored rank (ranks start as `NaN`, so a
+//! newcomer always counts as changed), the task is re-keyed in the
+//! ordered candidate set and its arrived parents are queued — except the
+//! committed ones. Skipping those is safe: a committed task's ancestors
+//! are all committed, only candidates' ranks are ever read, and a
+//! candidate's descendants are all uncommitted, so every rank a candidate
+//! depends on is maintained. Newcomers join the candidate set only after
+//! the worklist is drained.
+//!
+//! The result is bit-identical to the from-scratch refresh: each rank is
+//! the same float fold over the same children's ranks, so it is the same
+//! value, and the candidate set is ordered by the same comparator (rank
+//! descending by `total_cmp`, then id ascending).
 
 use crate::error::ScheduleError;
 use crate::incremental::EstCache;
@@ -49,7 +72,7 @@ use mals_platform::Platform;
 use mals_sim::Schedule;
 use mals_util::{ChunkedIndexSet, F64Ord, VirtualClock};
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::{BTreeSet, BinaryHeap};
 use std::time::{Duration, Instant};
 
 /// When the rolling-horizon scheduler re-plans the unscheduled suffix.
@@ -273,21 +296,20 @@ struct Replayer<'a> {
     /// Task ids that are arrived, ready and uncommitted — the set re-plans
     /// choose from.
     candidates: ChunkedIndexSet,
-    /// A topological order of the full graph, computed once; the arrived-
-    /// subgraph rank walk visits it in reverse, skipping unarrived tasks.
-    full_topo: Vec<TaskId>,
-    /// Upward ranks over the arrived subgraph (MemHEFT flavor). Reused
-    /// across refreshes: every arrived task is overwritten before any
-    /// arrived parent reads it, exactly like the from-scratch walk.
+    /// `topo_position[t]`: index of task `t` in a topological order of the
+    /// full graph, so every child sits after its parents.
+    topo_position: Vec<u32>,
+    /// Upward ranks over the arrived subgraph (MemHEFT flavor); `NaN` until
+    /// a task's first computation. Exact for every arrived, uncommitted task.
     rank: Vec<f64>,
-    /// Arrived tasks in priority order (MemHEFT flavor).
-    order: Vec<TaskId>,
-    /// `position_of[t]`: index of task `t` in `order` (valid for arrived
-    /// tasks since the last refresh).
-    position_of: Vec<u32>,
-    /// Candidate tasks keyed by priority position (MemHEFT flavor); rebuilt
-    /// at each refresh, maintained incrementally between refreshes.
-    ready_positions: ChunkedIndexSet,
+    /// Tasks whose rank needs recomputing, as `(topo position, id)` in a
+    /// max-heap so children pop before their parents (MemHEFT flavor).
+    rank_worklist: BinaryHeap<(u32, u32)>,
+    /// `rank_queued[t]`: task `t` is on the rank worklist.
+    rank_queued: Vec<bool>,
+    /// The candidates in priority order (MemHEFT flavor): rank descending
+    /// by `total_cmp`, then id ascending.
+    by_priority: BTreeSet<(Reverse<F64Ord>, u32)>,
     // Per-replay scratch, reused so steady-state passes allocate nothing.
     ready_buf: Vec<TaskId>,
     stale: Vec<TaskId>,
@@ -295,6 +317,8 @@ struct Replayer<'a> {
     effects: CommitEffects,
     queue: BinaryHeap<Reverse<QueuedEvent>>,
     seq: u64,
+    /// Virtual instants that already have a re-plan event queued.
+    pending_replans: BTreeSet<F64Ord>,
     /// Earliest floored start among the candidates the horizon deferred in
     /// the last selection pass.
     deferred_min: Option<f64>,
@@ -315,6 +339,11 @@ impl<'a> Replayer<'a> {
         config: OnlineConfig,
     ) -> Self {
         let n = graph.n_tasks();
+        let mut topo_position = vec![0; n];
+        let topo = topological_order(graph).expect("graph validated before replay");
+        for (position, task) in topo.into_iter().enumerate() {
+            topo_position[task.index()] = position as u32;
+        }
         Replayer {
             graph,
             trace,
@@ -324,17 +353,18 @@ impl<'a> Replayer<'a> {
             clock: VirtualClock::new(),
             arrived: vec![false; n],
             candidates: ChunkedIndexSet::new(),
-            full_topo: topological_order(graph).expect("graph validated before replay"),
-            rank: vec![0.0; n],
-            order: Vec::with_capacity(n),
-            position_of: vec![u32::MAX; n],
-            ready_positions: ChunkedIndexSet::new(),
+            topo_position,
+            rank: vec![f64::NAN; n],
+            rank_worklist: BinaryHeap::new(),
+            rank_queued: vec![false; n],
+            by_priority: BTreeSet::new(),
             ready_buf: Vec::new(),
             stale: Vec::new(),
             pairs: Vec::new(),
             effects: CommitEffects::empty(),
             queue: BinaryHeap::new(),
             seq: 0,
+            pending_replans: BTreeSet::new(),
             deferred_min: None,
             events: 0,
             arrivals: 0,
@@ -364,6 +394,7 @@ impl<'a> Replayer<'a> {
                 }
                 Payload::Completion => self.completions += 1,
                 Payload::Replan => {
+                    self.pending_replans.remove(&event.at);
                     replan = matches!(self.config.policy, ReplanPolicy::Horizon(_));
                 }
             }
@@ -379,8 +410,12 @@ impl<'a> Replayer<'a> {
                 if let Some(at) = self.deferred_min {
                     // The deferred start lies strictly beyond `now + window`,
                     // so the re-plan event is strictly in the future and the
-                    // loop makes progress.
-                    self.push(at, RANK_REPLAN, Payload::Replan);
+                    // loop makes progress. A second event at an instant that
+                    // already has one would find the state unchanged and
+                    // commit nothing, so it is not queued.
+                    if self.pending_replans.insert(F64Ord(at)) {
+                        self.push(at, RANK_REPLAN, Payload::Replan);
+                    }
                 }
             }
         }
@@ -406,67 +441,81 @@ impl<'a> Replayer<'a> {
     }
 
     /// Marks the tasks of trace event `i` as arrived and admits the ready
-    /// ones to the candidate set; the MemHEFT flavor re-derives its
-    /// priority order over the enlarged arrived subgraph.
+    /// ones to the candidate set; the MemHEFT flavor first brings the ranks
+    /// of the enlarged arrived subgraph up to date, so newcomers enter the
+    /// priority order with their final rank.
     fn admit(&mut self, i: usize) {
-        for &task in &self.trace.events()[i].tasks {
+        let tasks = &self.trace.events()[i].tasks;
+        for &task in tasks {
             self.arrived[task.index()] = true;
-            if self.partial.is_ready(task) {
-                self.candidates.insert(task.index() as u32);
-            }
         }
         if self.config.flavor == OnlineFlavor::MemHeft {
-            self.refresh_priorities();
+            for &task in tasks {
+                self.enqueue_rank(task);
+            }
+            self.propagate_ranks();
         }
+        for &task in tasks {
+            if self.partial.is_ready(task) {
+                self.insert_candidate(task);
+            }
+        }
+        #[cfg(test)]
+        self.assert_priorities_match_reference();
     }
 
-    /// Recomputes upward ranks over the arrived subgraph and rebuilds the
-    /// priority order. The walk mirrors `mals_dag::rank::upward_ranks`
-    /// operation for operation (same reverse-topological visit sequence,
-    /// same float fold, same sort comparator) restricted to arrived tasks,
-    /// so once everything has arrived the order equals
-    /// `rank_sorted_tasks(graph)` bit for bit.
-    fn refresh_priorities(&mut self) {
+    /// Drains the rank worklist, children first. Each popped task gets the
+    /// fold of `mals_dag::rank::upward_ranks` over its arrived children;
+    /// when the rank changed (or was never set), the task is re-keyed in
+    /// the priority order and its arrived, uncommitted parents are queued.
+    /// Committed parents are skipped: their ancestors are committed too,
+    /// and only candidates' ranks are ever read.
+    fn propagate_ranks(&mut self) {
         let graph = self.graph;
-        let arrived = &self.arrived;
-        let rank = &mut self.rank;
-        for &t in self.full_topo.iter().rev() {
-            if !arrived[t.index()] {
-                continue;
-            }
+        while let Some((_, id)) = self.rank_worklist.pop() {
+            let task = TaskId::from_index(id as usize);
+            self.rank_queued[task.index()] = false;
             let mut best_child = 0.0f64;
-            for &e in graph.out_edges(t) {
+            for &e in graph.out_edges(task) {
                 let edge = graph.edge(e);
-                if !arrived[edge.dst.index()] {
+                if !self.arrived[edge.dst.index()] {
                     continue;
                 }
-                let cand = rank[edge.dst.index()] + edge.comm_cost / 2.0;
+                let cand = self.rank[edge.dst.index()] + edge.comm_cost / 2.0;
                 if cand > best_child {
                     best_child = cand;
                 }
             }
-            rank[t.index()] = graph.task(t).mean_work() + best_child;
+            let rank = graph.task(task).mean_work() + best_child;
+            let old = std::mem::replace(&mut self.rank[task.index()], rank);
+            if rank.to_bits() == old.to_bits() {
+                continue;
+            }
+            if self.by_priority.remove(&(Reverse(F64Ord(old)), id)) {
+                self.by_priority.insert((Reverse(F64Ord(rank)), id));
+            }
+            for parent in graph.parents(task) {
+                if self.arrived[parent.index()] && !self.partial.is_scheduled(parent) {
+                    self.enqueue_rank(parent);
+                }
+            }
         }
-        self.order.clear();
-        self.order
-            .extend(graph.task_ids().filter(|t| arrived[t.index()]));
-        let rank = &self.rank;
-        self.order.sort_by(|&a, &b| {
-            rank[b.index()]
-                .total_cmp(&rank[a.index()])
-                .then_with(|| a.index().cmp(&b.index()))
-        });
-        for (position, &task) in self.order.iter().enumerate() {
-            self.position_of[task.index()] = position as u32;
+    }
+
+    fn enqueue_rank(&mut self, task: TaskId) {
+        if !std::mem::replace(&mut self.rank_queued[task.index()], true) {
+            self.rank_worklist
+                .push((self.topo_position[task.index()], task.index() as u32));
         }
-        let position_of = &self.position_of;
-        let mut positions: Vec<u32> = self
-            .candidates
-            .iter()
-            .map(|id| position_of[id as usize])
-            .collect();
-        positions.sort_unstable();
-        self.ready_positions = ChunkedIndexSet::from_sorted(positions);
+    }
+
+    fn insert_candidate(&mut self, task: TaskId) {
+        let id = task.index() as u32;
+        self.candidates.insert(id);
+        if self.config.flavor == OnlineFlavor::MemHeft {
+            self.by_priority
+                .insert((Reverse(F64Ord(self.rank[task.index()])), id));
+        }
     }
 
     /// One re-plan pass: greedily commits candidates until none is feasible
@@ -574,7 +623,7 @@ impl<'a> Replayer<'a> {
             let pair = Self::floored(self.graph, task, raw, now);
             if let Some(bd) = PartialSchedule::combine_pair(pair, false) {
                 if window.is_some_and(|limit| bd.est > limit) {
-                    self.note_deferred(bd.est);
+                    note_deferred(&mut self.deferred_min, bd.est);
                 } else if PartialSchedule::is_better_choice(&best, task, &bd) {
                     best = Some((task, bd));
                 }
@@ -592,19 +641,17 @@ impl<'a> Replayer<'a> {
         ctx: &SolveCtx,
         window: Option<f64>,
     ) -> Option<(TaskId, EstBreakdown)> {
+        #[cfg(test)]
+        self.assert_priorities_match_reference();
         self.refresh_stale(ctx);
         let now = self.clock.now_secs();
-        self.ready_buf.clear();
-        let order = &self.order;
-        self.ready_buf
-            .extend(self.ready_positions.iter().map(|p| order[p as usize]));
-        for i in 0..self.ready_buf.len() {
-            let task = self.ready_buf[i];
+        for &(_, id) in &self.by_priority {
+            let task = TaskId::from_index(id as usize);
             let raw = self.cache.pair(&self.partial, task);
             let pair = Self::floored(self.graph, task, raw, now);
             if let Some(bd) = PartialSchedule::combine_pair(pair, false) {
                 if window.is_some_and(|limit| bd.est > limit) {
-                    self.note_deferred(bd.est);
+                    note_deferred(&mut self.deferred_min, bd.est);
                 } else {
                     return Some((task, bd));
                 }
@@ -613,28 +660,20 @@ impl<'a> Replayer<'a> {
         None
     }
 
-    fn note_deferred(&mut self, est: f64) {
-        self.deferred_min = Some(match self.deferred_min {
-            Some(d) => d.min(est),
-            None => est,
-        });
-    }
-
     /// Commits one placement and maintains the candidate sets, the cache
     /// epochs and the completion timeline.
     fn commit(&mut self, task: TaskId, breakdown: &EstBreakdown) {
         let mut effects = std::mem::take(&mut self.effects);
         self.partial.commit_into(task, breakdown, &mut effects);
-        self.candidates.remove(task.index() as u32);
+        let id = task.index() as u32;
+        self.candidates.remove(id);
         if self.config.flavor == OnlineFlavor::MemHeft {
-            self.ready_positions.remove(self.position_of[task.index()]);
+            self.by_priority
+                .remove(&(Reverse(F64Ord(self.rank[task.index()])), id));
         }
         for &child in &effects.newly_ready {
             if self.arrived[child.index()] {
-                self.candidates.insert(child.index() as u32);
-                if self.config.flavor == OnlineFlavor::MemHeft {
-                    self.ready_positions.insert(self.position_of[child.index()]);
-                }
+                self.insert_candidate(child);
             }
         }
         self.cache.apply(&effects);
@@ -651,6 +690,13 @@ impl<'a> Replayer<'a> {
             payload,
         }));
     }
+}
+
+fn note_deferred(deferred_min: &mut Option<f64>, est: f64) {
+    *deferred_min = Some(match *deferred_min {
+        Some(d) => d.min(est),
+        None => est,
+    });
 }
 
 /// The registry face of the online layer: solves by replaying the
@@ -710,13 +756,72 @@ impl Solver for OnlineSolver {
     }
 }
 
+/// The oracle for the incremental ranks: the from-scratch refresh that ran
+/// on every arrival before them, kept verbatim (a full reverse-topological
+/// walk of the arrived subgraph, then a sort of every arrived task).
+#[cfg(test)]
+impl Replayer<'_> {
+    fn reference_priorities(&self) -> (Vec<f64>, Vec<TaskId>) {
+        let graph = self.graph;
+        let arrived = &self.arrived;
+        let full_topo = topological_order(graph).unwrap();
+        let mut rank = vec![0.0; graph.n_tasks()];
+        for &t in full_topo.iter().rev() {
+            if !arrived[t.index()] {
+                continue;
+            }
+            let mut best_child = 0.0f64;
+            for &e in graph.out_edges(t) {
+                let edge = graph.edge(e);
+                if !arrived[edge.dst.index()] {
+                    continue;
+                }
+                let cand = rank[edge.dst.index()] + edge.comm_cost / 2.0;
+                if cand > best_child {
+                    best_child = cand;
+                }
+            }
+            rank[t.index()] = graph.task(t).mean_work() + best_child;
+        }
+        let mut order: Vec<TaskId> = graph.task_ids().filter(|t| arrived[t.index()]).collect();
+        order.sort_by(|&a, &b| {
+            rank[b.index()]
+                .total_cmp(&rank[a.index()])
+                .then_with(|| a.index().cmp(&b.index()))
+        });
+        (rank, order)
+    }
+
+    /// Asserts that the maintained priority order holds exactly the
+    /// candidates, in the reference order, with bit-identical ranks.
+    fn assert_priorities_match_reference(&self) {
+        if self.config.flavor != OnlineFlavor::MemHeft {
+            assert!(self.by_priority.is_empty());
+            return;
+        }
+        let (rank, order) = self.reference_priorities();
+        let expected: Vec<(u64, u32)> = order
+            .iter()
+            .map(|t| t.index() as u32)
+            .filter(|&id| self.candidates.contains(id))
+            .map(|id| (rank[id as usize].to_bits(), id))
+            .collect();
+        let actual: Vec<(u64, u32)> = self
+            .by_priority
+            .iter()
+            .map(|&(Reverse(r), id)| (r.get().to_bits(), id))
+            .collect();
+        assert_eq!(actual, expected, "incremental priorities diverged");
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::memheft::MemHeft;
     use crate::memminmin::MemMinMin;
     use crate::traits::Scheduler;
-    use mals_gen::{dex, ArrivalProcess, DaggenParams, WeightRanges};
+    use mals_gen::{dex, ArrivalEvent, ArrivalProcess, DaggenParams, WeightRanges};
     use mals_sim::validate;
     use mals_util::{ParallelConfig, Pcg64, WorkerPool};
 
@@ -731,6 +836,109 @@ mod tests {
 
     fn every_arrival(flavor: OnlineFlavor) -> OnlineConfig {
         OnlineConfig::new(flavor, ReplanPolicy::EveryArrival)
+    }
+
+    fn large_graph(seed: u64, size: usize) -> TaskGraph {
+        let mut rng = Pcg64::new(seed);
+        mals_gen::daggen::generate(
+            &DaggenParams::large_rand().with_size(size),
+            &WeightRanges::small_rand(),
+            &mut rng,
+        )
+    }
+
+    /// A 2 + 2 platform with both memories bounded at `alpha` times the
+    /// memory-oblivious HEFT footprint.
+    fn bounded(graph: &TaskGraph, alpha: f64) -> Platform {
+        let unbounded = Platform::new(2, 2, 0.0, 0.0).unwrap().unbounded();
+        let heft = crate::Heft::new().schedule(graph, &unbounded).unwrap();
+        let bound = (mals_sim::memory_peaks(graph, &unbounded, &heft).max() * alpha).ceil();
+        unbounded.with_memory_bounds(bound, bound)
+    }
+
+    /// Every replay here runs the reference check after each admission and
+    /// before each MemHEFT selection, so any divergence of the incremental
+    /// ranks or of the candidate order from the from-scratch refresh
+    /// panics — on staggered traces, under every policy, from tight
+    /// (possibly infeasible) to ample memory.
+    #[test]
+    fn incremental_priorities_match_reference_on_staggered_traces() {
+        for seed in [1, 2, 3] {
+            let g = large_graph(seed, 120);
+            for process in [
+                ArrivalProcess::Poisson { rate: 10.0 },
+                ArrivalProcess::Bursty {
+                    batch: 6,
+                    rate: 1.0,
+                },
+            ] {
+                let trace = process.generate(&g, seed);
+                for alpha in [0.3, 0.5, 0.7, 1.0] {
+                    let platform = bounded(&g, alpha);
+                    for policy in [
+                        ReplanPolicy::EveryArrival,
+                        ReplanPolicy::EveryK(3),
+                        ReplanPolicy::Horizon(2.0),
+                    ] {
+                        let config = OnlineConfig::new(OnlineFlavor::MemHeft, policy);
+                        let _ = replay(&g, &platform, &trace, config, &SolveCtx::sequential());
+                    }
+                }
+            }
+        }
+    }
+
+    /// A zero-work leaf arriving under a waiting parent has rank `0.0` — the
+    /// value an unset rank would also hold — yet it still lifts the
+    /// parent's rank by `comm / 2` (51.0 against the rival's 50.6), so the
+    /// parent must take the blue processor first. Red is 100× slower, so
+    /// whichever task is ranked second queues behind the first on blue.
+    #[test]
+    fn zero_work_arrival_still_raises_parent_rank() {
+        let mut g = TaskGraph::new();
+        let parent = g.add_task("parent", 1.0, 100.0);
+        let rival = g.add_task("rival", 1.2, 100.0);
+        let leaf = g.add_task("leaf", 0.0, 0.0);
+        g.add_edge(parent, leaf, 1.0, 1.0).unwrap();
+        let trace = ArrivalTrace::new(
+            3,
+            vec![
+                ArrivalEvent {
+                    at: 0.0,
+                    tasks: vec![parent, rival],
+                },
+                ArrivalEvent {
+                    at: 1.0,
+                    tasks: vec![leaf],
+                },
+            ],
+        )
+        .unwrap();
+        let platform = Platform::single_pair(10.0, 10.0);
+        let config = OnlineConfig::new(OnlineFlavor::MemHeft, ReplanPolicy::EveryK(10));
+        let outcome = replay(&g, &platform, &trace, config, &SolveCtx::sequential()).unwrap();
+        let start = |t| outcome.schedule.task(t).unwrap().start;
+        assert!(start(parent) < start(rival));
+    }
+
+    /// Horizon replays queue at most one re-plan event per virtual instant,
+    /// so the passes stay linear in the events instead of piling up.
+    #[test]
+    fn horizon_replans_stay_linear_in_events() {
+        let g = large_graph(4, 300);
+        let platform = bounded(&g, 1.0);
+        let trace = ArrivalProcess::Poisson { rate: 10.0 }.generate(&g, 4);
+        for flavor in [OnlineFlavor::MemHeft, OnlineFlavor::MemMinMin] {
+            let config = OnlineConfig::new(flavor, ReplanPolicy::Horizon(2.0));
+            let outcome = replay(&g, &platform, &trace, config, &SolveCtx::sequential()).unwrap();
+            assert!(
+                outcome.replans <= outcome.arrivals + outcome.completions + 1,
+                "{flavor:?}: {} re-plans for {} arrivals and {} completions",
+                outcome.replans,
+                outcome.arrivals,
+                outcome.completions
+            );
+        }
     }
 
     #[test]

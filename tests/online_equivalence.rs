@@ -10,7 +10,10 @@
 //! instances (proptest) and a 1000-task fixture, checks the trace JSON
 //! round-trip (serialize → parse → byte-identical re-serialization and an
 //! identical replay), and verifies that staggered arrivals are honoured:
-//! no task ever starts before its release instant.
+//! no task ever starts before its release instant. Staggered traces have
+//! no static counterpart, so their schedules are pinned by placement
+//! fingerprints recorded on the engine that re-ranked from scratch on
+//! every arrival.
 
 use mals::gen::{ArrivalProcess, ArrivalTrace, DaggenParams, WeightRanges};
 use mals::prelude::*;
@@ -255,6 +258,152 @@ fn registry_online_solvers_match_static_keys() {
         assert_eq!(
             online_outcome.schedule, static_outcome.schedule,
             "{online_key} diverged from {static_key}"
+        );
+    }
+}
+
+/// FNV-1a over every task and communication placement of a replay (the bit
+/// patterns of the times), or over the error text of a failed one.
+fn replay_fingerprint(result: &Result<OnlineOutcome, String>) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut mix = |x: u64| {
+        for byte in x.to_le_bytes() {
+            h ^= u64::from(byte);
+            h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    };
+    match result {
+        Ok(outcome) => {
+            for p in outcome.schedule.task_placements() {
+                mix(p.task.index() as u64);
+                mix(p.proc as u64);
+                mix(p.start.to_bits());
+                mix(p.finish.to_bits());
+            }
+            for c in outcome.schedule.comm_placements() {
+                mix(c.edge.index() as u64);
+                mix(c.start.to_bits());
+                mix(c.finish.to_bits());
+            }
+        }
+        Err(message) => message.bytes().for_each(|b| mix(u64::from(b))),
+    }
+    h
+}
+
+/// Placement fingerprints of seeded staggered replays — Poisson and bursty
+/// traces, both flavours, all three policies, at a binding and an ample
+/// memory bound — recorded on the engine that re-walked and re-sorted the
+/// whole arrived subgraph on every arrival. Any change to the candidate
+/// order (a rank-maintenance bug, a re-plan that commits differently)
+/// moves a fingerprint.
+#[test]
+fn staggered_replays_match_recorded_fingerprints() {
+    const EXPECTED: &[(&str, u64)] = &[
+        ("s1/poisson/a0.3/every-arrival/memheft", 0xb336d3d487a33956),
+        (
+            "s1/poisson/a0.3/every-arrival/memminmin",
+            0xb336d3d487a33956,
+        ),
+        ("s1/poisson/a0.3/every-k:7/memheft", 0x7482d8062c85a2d4),
+        ("s1/poisson/a0.3/every-k:7/memminmin", 0x06e5a2a06317a430),
+        ("s1/poisson/a0.3/horizon:2/memheft", 0x5601ea9c3be67b76),
+        ("s1/poisson/a0.3/horizon:2/memminmin", 0x99ace9ea738bd5f7),
+        ("s1/poisson/a1/every-arrival/memheft", 0xd8aaad6f13b8f5bf),
+        ("s1/poisson/a1/every-arrival/memminmin", 0xd8aaad6f13b8f5bf),
+        ("s1/poisson/a1/every-k:7/memheft", 0x6ecd501e01e93451),
+        ("s1/poisson/a1/every-k:7/memminmin", 0xb941dd06c0ce36a9),
+        ("s1/poisson/a1/horizon:2/memheft", 0x4f5cc7663830cb6b),
+        ("s1/poisson/a1/horizon:2/memminmin", 0xc963419708ab1b21),
+        ("s1/bursty/a0.3/every-arrival/memheft", 0x4265cc0e2c2fc187),
+        ("s1/bursty/a0.3/every-arrival/memminmin", 0x80447e5d9e1daba7),
+        ("s1/bursty/a0.3/every-k:7/memheft", 0xc0394cbc36885f4c),
+        ("s1/bursty/a0.3/every-k:7/memminmin", 0x7ddc880f138ef254),
+        ("s1/bursty/a0.3/horizon:2/memheft", 0x74584db482180a9f),
+        ("s1/bursty/a0.3/horizon:2/memminmin", 0x5efc4fe1964c789e),
+        ("s1/bursty/a1/every-arrival/memheft", 0x499c08b3c36fd3be),
+        ("s1/bursty/a1/every-arrival/memminmin", 0x7fb158dcda70c8c8),
+        ("s1/bursty/a1/every-k:7/memheft", 0x44568d4aa4d210d1),
+        ("s1/bursty/a1/every-k:7/memminmin", 0xf7012f2f0ee0e412),
+        ("s1/bursty/a1/horizon:2/memheft", 0x8cb8ec7d6672811c),
+        ("s1/bursty/a1/horizon:2/memminmin", 0x83430193849650e0),
+        ("s2/poisson/a0.3/every-arrival/memheft", 0xb71efe31f554afd5),
+        (
+            "s2/poisson/a0.3/every-arrival/memminmin",
+            0x7fd2e5c0c411b5f5,
+        ),
+        ("s2/poisson/a0.3/every-k:7/memheft", 0x8dfad630d10983f6),
+        ("s2/poisson/a0.3/every-k:7/memminmin", 0x8ee788754a3fc801),
+        ("s2/poisson/a0.3/horizon:2/memheft", 0x4d92e78ce25f44f1),
+        ("s2/poisson/a0.3/horizon:2/memminmin", 0x76d882af589cbe39),
+        ("s2/poisson/a1/every-arrival/memheft", 0xb20831a38680ae9f),
+        ("s2/poisson/a1/every-arrival/memminmin", 0xb20831a38680ae9f),
+        ("s2/poisson/a1/every-k:7/memheft", 0xde099b8844a5d67f),
+        ("s2/poisson/a1/every-k:7/memminmin", 0x1138935fe8a3b36a),
+        ("s2/poisson/a1/horizon:2/memheft", 0xb1af2b222b650dc6),
+        ("s2/poisson/a1/horizon:2/memminmin", 0x895ea425bf48f59f),
+        ("s2/bursty/a0.3/every-arrival/memheft", 0xfd6d1e6041e7f185),
+        ("s2/bursty/a0.3/every-arrival/memminmin", 0xd770b31b7bbe2c41),
+        ("s2/bursty/a0.3/every-k:7/memheft", 0x154578960e8724c3),
+        ("s2/bursty/a0.3/every-k:7/memminmin", 0x663b3d3269f3778c),
+        ("s2/bursty/a0.3/horizon:2/memheft", 0x4d92e78ce25f44f1),
+        ("s2/bursty/a0.3/horizon:2/memminmin", 0x79c34ea0d6e74a7f),
+        ("s2/bursty/a1/every-arrival/memheft", 0x13019f3d2da3fc0e),
+        ("s2/bursty/a1/every-arrival/memminmin", 0xe68381a2fffebe9e),
+        ("s2/bursty/a1/every-k:7/memheft", 0x1ef4542b671c8f3e),
+        ("s2/bursty/a1/every-k:7/memminmin", 0x1d1946402b010396),
+        ("s2/bursty/a1/horizon:2/memheft", 0x4ca7402de8512b02),
+        ("s2/bursty/a1/horizon:2/memminmin", 0xb54e4086009370a6),
+    ];
+    let mut actual = Vec::new();
+    for seed in [1u64, 2] {
+        let graph = generated(seed, 200);
+        for (trace_name, process) in [
+            ("poisson", ArrivalProcess::Poisson { rate: 10.0 }),
+            (
+                "bursty",
+                ArrivalProcess::Bursty {
+                    batch: 8,
+                    rate: 1.0,
+                },
+            ),
+        ] {
+            let trace = process.generate(&graph, seed ^ 0xA11);
+            for alpha in [0.3, 1.0] {
+                let platform = bounded(&graph, &Platform::new(2, 2, 0.0, 0.0).unwrap(), alpha);
+                for policy in [
+                    ReplanPolicy::EveryArrival,
+                    ReplanPolicy::EveryK(7),
+                    ReplanPolicy::Horizon(2.0),
+                ] {
+                    for (flavor_name, flavor) in [
+                        ("memheft", OnlineFlavor::MemHeft),
+                        ("memminmin", OnlineFlavor::MemMinMin),
+                    ] {
+                        let config = OnlineConfig::new(flavor, policy);
+                        let result = replay_with_threads(&graph, &platform, &trace, config, 1);
+                        actual.push((
+                            format!(
+                                "s{seed}/{trace_name}/a{alpha}/{}/{flavor_name}",
+                                policy.key()
+                            ),
+                            replay_fingerprint(&result),
+                        ));
+                    }
+                }
+            }
+        }
+    }
+    let table: String = actual
+        .iter()
+        .map(|(name, fp)| format!("        (\"{name}\", 0x{fp:016x}),\n"))
+        .collect();
+    assert_eq!(actual.len(), EXPECTED.len(), "fingerprint table:\n{table}");
+    for ((name, fp), (expected_name, expected_fp)) in actual.iter().zip(EXPECTED) {
+        assert_eq!(name, expected_name, "fingerprint table:\n{table}");
+        assert_eq!(
+            fp, expected_fp,
+            "{name} diverged; fingerprint table:\n{table}"
         );
     }
 }
