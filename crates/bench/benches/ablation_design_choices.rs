@@ -9,7 +9,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use mals_bench::{single_pair, small_rand_dag};
 use mals_exact::BranchAndBound;
-use mals_experiments::heft_reference;
+use mals_experiments::heft_baseline;
 use mals_sched::ablation::{MemHeftVariant, MemoryPreference, PriorityScheme, TieBreak};
 use mals_sched::Scheduler;
 use std::hint::black_box;
@@ -57,23 +57,23 @@ fn bench_ablation(c: &mut Criterion) {
 
     let graph = small_rand_dag(24, 0xAB);
     let platform = single_pair(0.0);
-    let reference = heft_reference(&graph, &platform);
+    let heft = heft_baseline(&graph, &platform);
     // Pick the tightest bound (as a fraction of HEFT's footprint) at which the
     // paper-default variant still succeeds, so the ablation compares real
     // schedules rather than failure paths.
     let bound = [0.6, 0.7, 0.8, 0.9, 1.0]
         .iter()
-        .map(|f| f * reference.heft_peaks.max())
+        .map(|f| f * heft.peaks.max())
         .find(|&b| {
             MemHeftVariant::paper_default()
                 .schedule(&graph, &platform.with_memory_bounds(b, b))
                 .is_ok()
         })
-        .unwrap_or(reference.heft_peaks.max());
+        .unwrap_or(heft.peaks.max());
     let bounded = platform.with_memory_bounds(bound, bound);
     eprintln!(
         "# ablation memory bound: {bound:.1} ({:.0}% of HEFT's footprint)",
-        100.0 * bound / reference.heft_peaks.max()
+        100.0 * bound / heft.peaks.max()
     );
 
     // Report the makespan impact of each variant once.

@@ -5,7 +5,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use mals_bench::{single_pair, small_rand_dag, small_rand_set};
 use mals_exact::BranchAndBound;
 use mals_experiments::figures::{fig10, Fig10Config};
-use mals_experiments::heft_reference;
+use mals_experiments::heft_baseline;
 use mals_sched::{MemHeft, MemMinMin, Scheduler};
 use mals_util::ParallelConfig;
 use std::hint::black_box;
@@ -22,20 +22,20 @@ fn bench_fig10(c: &mut Criterion) {
     // are measured on real scheduling work rather than on failure detection.
     let graph = small_rand_dag(16, 0x51);
     let platform = single_pair(0.0);
-    let reference = heft_reference(&graph, &platform);
+    let heft = heft_baseline(&graph, &platform);
     let bound = [0.7, 0.8, 0.9, 1.0]
         .iter()
-        .map(|f| f * reference.heft_peaks.max())
+        .map(|f| f * heft.peaks.max())
         .find(|&b| {
             MemHeft::new()
                 .schedule(&graph, &platform.with_memory_bounds(b, b))
                 .is_ok()
         })
-        .unwrap_or(reference.heft_peaks.max());
+        .unwrap_or(heft.peaks.max());
     let bounded = platform.with_memory_bounds(bound, bound);
     eprintln!(
         "# fig10 single-DAG memory bound: {bound:.1} ({:.0}% of HEFT's footprint)",
-        100.0 * bound / reference.heft_peaks.max()
+        100.0 * bound / heft.peaks.max()
     );
 
     group.bench_function("memheft_one_dag_70pct", |b| {

@@ -4,7 +4,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use mals_bench::{large_rand_dag, single_pair};
 use mals_experiments::figures::{fig12, Fig12Config};
-use mals_experiments::heft_reference;
+use mals_experiments::heft_baseline;
 use mals_sched::{MemHeft, MemMinMin, Scheduler};
 use mals_util::ParallelConfig;
 use std::hint::black_box;
@@ -18,8 +18,7 @@ fn bench_fig12(c: &mut Criterion) {
 
     let graph = large_rand_dag(200, 0x12);
     let platform = single_pair(0.0);
-    let reference = heft_reference(&graph, &platform);
-    let bound = 0.5 * reference.heft_peaks.max();
+    let bound = 0.5 * heft_baseline(&graph, &platform).peaks.max();
     let bounded = platform.with_memory_bounds(bound, bound);
 
     group.bench_function("memheft_200_tasks_50pct", |b| {

@@ -4,7 +4,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use mals_bench::{lu_fixture, mirage};
 use mals_experiments::figures::{fig14, LinalgConfig};
-use mals_experiments::heft_reference;
+use mals_experiments::heft_baseline;
 use mals_sched::{MemHeft, MemMinMin, Scheduler};
 use mals_util::ParallelConfig;
 use std::hint::black_box;
@@ -18,8 +18,7 @@ fn bench_fig14(c: &mut Criterion) {
 
     let graph = lu_fixture(6);
     let platform = mirage(0.0);
-    let reference = heft_reference(&graph, &platform);
-    let bound = (0.6 * reference.heft_peaks.max()).round();
+    let bound = (0.6 * heft_baseline(&graph, &platform).peaks.max()).round();
     let bounded = platform.with_memory_bounds(bound, bound);
 
     group.bench_function("memheft_lu6_60pct", |b| {

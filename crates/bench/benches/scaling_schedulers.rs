@@ -4,7 +4,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use mals_bench::{large_rand_dag, single_pair};
-use mals_experiments::heft_reference;
+use mals_experiments::heft_baseline;
 use mals_sched::{MemHeft, MemMinMin, Scheduler};
 use std::hint::black_box;
 use std::time::Duration;
@@ -18,8 +18,7 @@ fn bench_scaling(c: &mut Criterion) {
     for &n_tasks in &[50usize, 100, 200, 400] {
         let graph = large_rand_dag(n_tasks, 0x5CA1E + n_tasks as u64);
         let platform = single_pair(0.0);
-        let reference = heft_reference(&graph, &platform);
-        let bound = 0.7 * reference.heft_peaks.max();
+        let bound = 0.7 * heft_baseline(&graph, &platform).peaks.max();
         let bounded = platform.with_memory_bounds(bound, bound);
 
         group.bench_with_input(BenchmarkId::new("memheft", n_tasks), &n_tasks, |b, _| {

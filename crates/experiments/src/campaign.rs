@@ -33,7 +33,7 @@
 //! run; a checkpoint recorded under a different configuration is rejected by
 //! a fingerprint check instead of silently blending two campaigns.
 
-use crate::sweep::heft_reference;
+use crate::sweep::heft_baseline;
 use mals_dag::TaskGraph;
 use mals_gen::{daggen, SetParams};
 use mals_platform::Platform;
@@ -539,9 +539,9 @@ fn run_one_dag(
     config: &CampaignConfig,
     solvers: &[Box<dyn Solver>],
 ) -> DagOutcomes {
-    let reference = heft_reference(graph, platform);
-    let baseline_memory = reference.heft_peaks.max();
-    let baseline_makespan = reference.heft_makespan.max(f64::MIN_POSITIVE);
+    let heft = heft_baseline(graph, platform);
+    let baseline_memory = heft.peaks.max();
+    let baseline_makespan = heft.makespan.max(f64::MIN_POSITIVE);
     let ctx = SolveCtx::with_limits(SolveLimits::with_node_limit(config.optimal_node_limit));
 
     let per_alpha = config

@@ -976,8 +976,7 @@ pub fn generated_request(tasks: usize, seed: u64) -> SolveRequest {
         &mut rng,
     );
     let platform = Platform::single_pair(0.0, 0.0);
-    let reference = crate::heft_reference(&graph, &platform);
-    let bound = reference.heft_peaks.max();
+    let bound = crate::heft_baseline(&graph, &platform).peaks.max();
     let platform = platform.with_memory_bounds(bound, bound);
     let mut request = SolveRequest::new(graph, platform, "memheft");
     // Echo the generation seed through the request so the report's
@@ -1348,6 +1347,37 @@ mod tests {
         assert_eq!(reports[1].schedule, service.handle(&memminmin).schedule);
         assert_eq!(reports[2].schedule, reports[0].schedule);
         assert_eq!(reports[3].errors[0].code, ErrorCode::UnknownSolver);
+    }
+
+    /// FNV-1a over the bytes of a compact request.
+    fn fnv1a(bytes: &[u8]) -> u64 {
+        bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+        })
+    }
+
+    /// The generated instances, α = 1 bounds included, are pinned: these
+    /// fingerprints were recorded when the bounds still came from the full
+    /// HEFT + MinMin reference, so a reference change that moves a bound by
+    /// one bit fails here.
+    #[test]
+    fn generated_requests_match_recorded_fingerprints() {
+        for (tasks, seed, expected) in [
+            (1, 0, 0x8b34_1030_5028_f0f3_u64),
+            (2, 5, 0x6a89_2b00_03e2_ae18),
+            (30, 1, 0xcbea_d071_ff28_420a),
+            (120, 3, 0x9a2a_5f96_c999_c975),
+            (300, 7, 0x9679_6263_d27d_d8e1),
+            (1000, 42, 0xf86f_9ac0_e7ca_5d6d),
+            (2500, 9, 0x6da0_7393_7be4_2e5a),
+        ] {
+            let compact = generated_request(tasks, seed).to_json().to_compact();
+            assert_eq!(
+                fnv1a(compact.as_bytes()),
+                expected,
+                "generated_request({tasks}, {seed})"
+            );
+        }
     }
 
     #[test]

@@ -13,8 +13,18 @@ use mals_platform::Platform;
 use mals_sched::{Heft, MinMin, Scheduler, SolveCtx, Solver};
 use mals_sim::{memory_peaks, MemoryPeaks};
 
+/// One memory-oblivious baseline schedule of a DAG, summarised: its
+/// makespan and its memory peaks.
+#[derive(Debug, Clone, Copy)]
+pub struct Baseline {
+    /// Makespan of the schedule (memory ignored).
+    pub makespan: f64,
+    /// Memory peaks of that schedule.
+    pub peaks: MemoryPeaks,
+}
+
 /// The memory-oblivious reference for one DAG: HEFT's makespan and memory
-/// peaks (used to normalise both axes of Figures 10 and 12).
+/// peaks (used to normalise both axes of Figures 10 and 12), plus MinMin's.
 #[derive(Debug, Clone, Copy)]
 pub struct Reference {
     /// Makespan of the HEFT schedule (memory ignored).
@@ -27,21 +37,37 @@ pub struct Reference {
     pub minmin_peaks: MemoryPeaks,
 }
 
+/// Runs `scheduler` on the unbounded version of `platform` and measures the
+/// peaks of its schedule.
+fn baseline(scheduler: &impl Scheduler, graph: &TaskGraph, platform: &Platform) -> Baseline {
+    let unbounded = platform.unbounded();
+    let schedule = scheduler
+        .schedule(graph, &unbounded)
+        .unwrap_or_else(|e| panic!("{} cannot fail: {e}", scheduler.name()));
+    Baseline {
+        makespan: schedule.makespan(),
+        peaks: memory_peaks(graph, &unbounded, &schedule),
+    }
+}
+
+/// The HEFT baseline of a DAG on `platform` (whose memory bounds are
+/// ignored): the `α = 1` reference. `α · peaks.max()` is the memory bound
+/// of campaign point `α`, and `makespan` normalises its makespans. Callers
+/// that never read MinMin use this rather than [`heft_reference`].
+pub fn heft_baseline(graph: &TaskGraph, platform: &Platform) -> Baseline {
+    baseline(&Heft::new(), graph, platform)
+}
+
 /// Computes the HEFT / MinMin references of a DAG on `platform` (the memory
 /// bounds of `platform` are ignored).
 pub fn heft_reference(graph: &TaskGraph, platform: &Platform) -> Reference {
-    let unbounded = platform.unbounded();
-    let heft = Heft::new()
-        .schedule(graph, &unbounded)
-        .expect("HEFT cannot fail");
-    let minmin = MinMin::new()
-        .schedule(graph, &unbounded)
-        .expect("MinMin cannot fail");
+    let heft = heft_baseline(graph, platform);
+    let minmin = baseline(&MinMin::new(), graph, platform);
     Reference {
-        heft_makespan: heft.makespan(),
-        heft_peaks: memory_peaks(graph, &unbounded, &heft),
-        minmin_makespan: minmin.makespan(),
-        minmin_peaks: memory_peaks(graph, &unbounded, &minmin),
+        heft_makespan: heft.makespan,
+        heft_peaks: heft.peaks,
+        minmin_makespan: minmin.makespan,
+        minmin_peaks: minmin.peaks,
     }
 }
 
@@ -192,6 +218,10 @@ mod tests {
         assert!(reference.minmin_makespan > 0.0);
         // Total file volume bounds any peak.
         assert!(reference.heft_peaks.max() <= g.total_file_size());
+        // The HEFT half is the HEFT-only baseline, bit for bit.
+        let heft = heft_baseline(&g, &platform);
+        assert_eq!(heft.makespan.to_bits(), reference.heft_makespan.to_bits());
+        assert_eq!(heft.peaks, reference.heft_peaks);
     }
 
     #[test]

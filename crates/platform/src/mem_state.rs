@@ -10,6 +10,13 @@
 //! * release space when a file is consumed, and
 //! * find the earliest instant after which a given amount of space is
 //!   available **for good** (the `task_mem_EST` / `comm_mem_EST` queries).
+//!
+//! An unbounded memory (capacity `+∞`) keeps no profile: every
+//! reservation on it is dropped, because no query ever reads it — any
+//! amount fits at once. The memory-oblivious baselines (HEFT, MinMin) run
+//! on two such memories, so they pay for no staircase updates; their
+//! memory peaks come from the finished schedule instead
+//! (`mals_sim::memory_peaks`).
 
 use crate::memory::Memory;
 use crate::platform::Platform;
@@ -37,7 +44,8 @@ impl MemoryState {
         self.bounds[mem.index()]
     }
 
-    /// Amount of memory `µ` in use at time `t`.
+    /// Amount of memory `µ` in use at time `t` (always 0 for an unbounded
+    /// memory, which keeps no profile).
     #[inline]
     pub fn used_at(&self, mem: Memory, t: f64) -> f64 {
         self.used[mem.index()].value_at(t)
@@ -50,10 +58,18 @@ impl MemoryState {
         self.bound(mem) - self.used_at(mem, t)
     }
 
+    /// Whether memory `µ` keeps a usage profile: only a bounded memory
+    /// does, since [`MemoryState::earliest_fit`] never reads an unbounded
+    /// one.
+    #[inline]
+    fn tracked(&self, mem: Memory) -> bool {
+        !self.bound(mem).is_infinite()
+    }
+
     /// Reserves `amount` units of memory `µ` from time `t` onwards
     /// (a file produced at `t` whose consumer is not scheduled yet).
     pub fn reserve_from(&mut self, mem: Memory, t: f64, amount: f64) {
-        if amount != 0.0 {
+        if amount != 0.0 && self.tracked(mem) {
             self.used[mem.index()].add_from(t, amount);
         }
     }
@@ -62,7 +78,7 @@ impl MemoryState {
     /// known to be consumed at `t2`, e.g. an input file of the task being
     /// scheduled, or a file in transit during a cross-memory copy).
     pub fn reserve_range(&mut self, mem: Memory, t1: f64, t2: f64, amount: f64) {
-        if amount != 0.0 {
+        if amount != 0.0 && self.tracked(mem) {
             self.used[mem.index()].add_range(t1, t2, amount);
         }
     }
@@ -71,7 +87,7 @@ impl MemoryState {
     /// reserved with [`MemoryState::reserve_from`] whose consumer has now
     /// been scheduled to complete at `t`).
     pub fn release_from(&mut self, mem: Memory, t: f64, amount: f64) {
-        if amount != 0.0 {
+        if amount != 0.0 && self.tracked(mem) {
             self.used[mem.index()].add_from(t, -amount);
         }
     }
@@ -100,7 +116,8 @@ impl MemoryState {
         }
     }
 
-    /// Peak usage of memory `µ` over the whole horizon.
+    /// Peak usage of memory `µ` over the whole horizon (0 for an unbounded
+    /// memory; measure a schedule's peaks with `mals_sim::memory_peaks`).
     pub fn peak_usage(&self, mem: Memory) -> f64 {
         self.used[mem.index()].max_value()
     }
@@ -126,7 +143,7 @@ impl MemoryState {
     }
 
     /// Read-only access to the usage profile of memory `µ` (for tracing and
-    /// tests).
+    /// tests). An unbounded memory's profile is the constant 0.
     pub fn usage_profile(&self, mem: Memory) -> &Staircase {
         &self.used[mem.index()]
     }
@@ -202,6 +219,28 @@ mod tests {
         let m = bounded(f64::INFINITY, f64::INFINITY);
         assert_eq!(m.earliest_fit(Memory::Blue, 3.0, 1e12), Some(3.0));
         assert!(m.fits(Memory::Red, 0.0, 1e12));
+    }
+
+    #[test]
+    fn unbounded_memory_keeps_no_profile() {
+        // Blue is unbounded, red is bounded: the rule is per memory.
+        let mut m = bounded(f64::INFINITY, 10.0);
+        m.reserve_from(Memory::Blue, 1.0, 4.0);
+        m.reserve_range(Memory::Blue, 0.0, 5.0, 7.0);
+        m.release_from(Memory::Blue, 3.0, 2.0);
+        m.reserve_range(Memory::Red, 0.0, 5.0, 7.0);
+        for t in [0.0, 1.0, 2.0, 4.0, 10.0] {
+            assert_eq!(m.used_at(Memory::Blue, t), 0.0);
+        }
+        assert_eq!(m.peak_usage(Memory::Blue), 0.0);
+        assert_eq!(m.usage_profile(Memory::Blue), &Staircase::constant(0.0));
+        assert_eq!(m.peak_usage(Memory::Red), 7.0);
+        assert!(m.check_invariants().is_ok());
+        // The fit queries answer exactly as they would with a profile.
+        assert_eq!(m.earliest_fit(Memory::Blue, 2.0, 1e12), Some(2.0));
+        assert_eq!(m.earliest_fit(Memory::Blue, -1.0, 5.0), Some(0.0));
+        assert!(m.fits(Memory::Blue, 0.0, 1e12));
+        assert_eq!(m.earliest_fit(Memory::Red, 0.0, 5.0), Some(5.0));
     }
 
     #[test]

@@ -32,6 +32,12 @@ pub enum Json {
     Obj(Vec<(String, Json)>),
 }
 
+/// Deepest array/object nesting [`Json::parse`] accepts. The parser is
+/// recursive descent, so without a cap one line of `[`s from the wire
+/// would overflow the parsing thread's stack and abort the process; no
+/// document this workspace reads nests more than a handful of levels.
+pub const MAX_DEPTH: usize = 256;
+
 /// A parse failure: byte offset into the input and a description.
 #[derive(Debug, Clone, PartialEq)]
 pub struct JsonError {
@@ -117,11 +123,14 @@ impl Json {
         matches!(self, Json::Null)
     }
 
-    /// Parses a JSON document (the whole input must be one value).
+    /// Parses a JSON document (the whole input must be one value). A
+    /// document nesting arrays/objects deeper than [`MAX_DEPTH`] is an
+    /// error.
     pub fn parse(text: &str) -> Result<Json, JsonError> {
         let mut p = Parser {
             bytes: text.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let value = p.value()?;
@@ -243,6 +252,8 @@ fn write_escaped(out: &mut String, s: &str) {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays/objects currently open.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -291,12 +302,27 @@ impl<'a> Parser<'a> {
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(b'-' | b'0'..=b'9') => self.number(),
             Some(other) => Err(self.err(format!("unexpected `{}`", other as char))),
             None => Err(self.err("unexpected end of input")),
         }
+    }
+
+    /// Parses an array or object one level deeper, refusing to pass
+    /// [`MAX_DEPTH`].
+    fn nested(
+        &mut self,
+        parse: fn(&mut Self) -> Result<Json, JsonError>,
+    ) -> Result<Json, JsonError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err(format!("nesting deeper than {MAX_DEPTH} levels")));
+        }
+        self.depth += 1;
+        let value = parse(self);
+        self.depth -= 1;
+        value
     }
 
     fn array(&mut self) -> Result<Json, JsonError> {
@@ -474,6 +500,33 @@ mod tests {
         assert_eq!(Json::parse("42").unwrap(), Json::Num(42.0));
         assert_eq!(Json::parse("-1.5e3").unwrap(), Json::Num(-1500.0));
         assert_eq!(Json::parse("\"hi\"").unwrap(), Json::str("hi"));
+    }
+
+    #[test]
+    fn nesting_is_capped_at_max_depth() {
+        let nest = |open: &str, close: &str, depth: usize| {
+            format!("{}{}", open.repeat(depth), close.repeat(depth))
+        };
+        assert!(Json::parse(&nest("[", "]", MAX_DEPTH)).is_ok());
+        let objects = format!("{}0{}", "{\"k\":".repeat(MAX_DEPTH), "}".repeat(MAX_DEPTH));
+        assert!(Json::parse(&objects).is_ok());
+        assert!(Json::parse(&format!("[{objects}]")).is_err());
+        let err = Json::parse(&nest("[", "]", MAX_DEPTH + 1)).unwrap_err();
+        assert_eq!(err.offset, MAX_DEPTH);
+        assert!(err.message.contains("nesting"), "{err}");
+        // Far deeper than any thread stack could recurse: a clean error on
+        // a small stack, not an abort.
+        let hostile = "[".repeat(100_000);
+        let small_stack = std::thread::Builder::new().stack_size(512 * 1024);
+        let result = small_stack
+            .spawn(move || Json::parse(&hostile).map_err(|e| e.offset))
+            .unwrap()
+            .join()
+            .unwrap();
+        assert_eq!(result, Err(MAX_DEPTH));
+        // Depth is per path, not per document: siblings do not add up.
+        let wide = format!("[{}]", vec![nest("[", "]", MAX_DEPTH - 1); 3].join(","));
+        assert!(Json::parse(&wide).is_ok());
     }
 
     #[test]

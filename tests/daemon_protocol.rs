@@ -77,6 +77,38 @@ fn malformed_frames_answer_bad_request_without_killing_the_connection() {
     handle.join();
 }
 
+/// A frame nested far deeper than a connection thread's stack could
+/// recurse used to abort the whole daemon; it must answer a coded reject,
+/// and the same daemon must keep serving, on that connection and on a new
+/// one.
+#[test]
+fn deeply_nested_frames_are_rejected_and_the_daemon_keeps_serving() {
+    let handle = start_daemon(DaemonConfig {
+        threads: 1,
+        ..DaemonConfig::default()
+    });
+    let (mut reader, mut write_half) = connect(&handle);
+    for hostile in [
+        "[".repeat(100_000),
+        format!("{{\"graph\":{}", "{\"a\":".repeat(100_000)),
+    ] {
+        write_frame(&mut write_half, &hostile).unwrap();
+        let response = read_one(&mut reader);
+        assert_eq!(error_code(&response), Some("bad_request"));
+    }
+    write_frame(&mut write_half, &request_frame(3, &example_request())).unwrap();
+    let response = read_one(&mut reader);
+    assert_eq!(response.get("id").and_then(Json::as_u64), Some(3));
+    assert_eq!(response.get("valid").and_then(Json::as_bool), Some(true));
+    let (mut reader, mut write_half) = connect(&handle);
+    write_frame(&mut write_half, &request_frame(4, &example_request())).unwrap();
+    let response = read_one(&mut reader);
+    assert_eq!(response.get("id").and_then(Json::as_u64), Some(4));
+    assert_eq!(response.get("valid").and_then(Json::as_bool), Some(true));
+    handle.shutdown();
+    handle.join();
+}
+
 #[test]
 fn oversized_frames_are_rejected_and_the_next_frame_parses() {
     let handle = start_daemon(DaemonConfig {

@@ -199,3 +199,34 @@ fn large_rand_1000_tasks_matches_pre_refactor() {
     let incremental = MemMinMin::new().schedule(&graph, &bounded).unwrap();
     assert_eq!(reference, incremental, "n=1000 MemMinMin diverged");
 }
+
+/// An unbounded memory keeps no usage profile (`MemoryState` drops its
+/// reservations, since no fit query reads them), so the memory-oblivious
+/// baselines must schedule exactly as the memory-aware solvers do on a
+/// finite bound that never binds — twice the total file volume per memory,
+/// where the staircases are still maintained and queried.
+#[test]
+fn unbounded_baselines_match_never_binding_bounds() {
+    let sets = [
+        mals::gen::SetParams::small_rand().scaled(12, 30),
+        mals::gen::SetParams::large_rand().scaled(3, 400),
+    ];
+    for (p_blue, p_red) in [(1, 1), (2, 1)] {
+        let open = Platform::new(p_blue, p_red, 0.0, 0.0).unwrap().unbounded();
+        for graph in sets.iter().flat_map(|set| set.generate()) {
+            let ample = 2.0 * graph.total_file_size();
+            let bounded = open.with_memory_bounds(ample, ample);
+            let tasks = graph.n_tasks();
+            assert_eq!(
+                Heft::new().schedule(&graph, &open).unwrap(),
+                MemHeft::new().schedule(&graph, &bounded).unwrap(),
+                "HEFT vs never-binding MemHEFT, {tasks} tasks on {p_blue}+{p_red}"
+            );
+            assert_eq!(
+                MinMin::new().schedule(&graph, &open).unwrap(),
+                MemMinMin::new().schedule(&graph, &bounded).unwrap(),
+                "MinMin vs never-binding MemMinMin, {tasks} tasks on {p_blue}+{p_red}"
+            );
+        }
+    }
+}

@@ -40,8 +40,7 @@ fn best_of_members_individually(
 fn fixture(n_tasks: usize, tightness: f64) -> (TaskGraph, Platform) {
     let graph = mals_bench::large_rand_dag(n_tasks, 42);
     let open = Platform::single_pair(0.0, 0.0);
-    let reference = mals::experiments::heft_reference(&graph, &open);
-    let bound = reference.heft_peaks.max() * tightness;
+    let bound = mals::experiments::heft_baseline(&graph, &open).peaks.max() * tightness;
     (graph, open.with_memory_bounds(bound, bound))
 }
 
