@@ -11,7 +11,7 @@ use mals_bench::{single_pair, small_rand_dag};
 use mals_exact::BranchAndBound;
 use mals_experiments::heft_baseline;
 use mals_sched::ablation::{MemHeftVariant, MemoryPreference, PriorityScheme, TieBreak};
-use mals_sched::Scheduler;
+use mals_sched::{Scheduler, SolveCtx, SolveLimits, Solver};
 use std::hint::black_box;
 use std::time::Duration;
 
@@ -95,10 +95,9 @@ fn bench_ablation(c: &mut Criterion) {
     // Branch-and-bound pruning budget ablation.
     let tiny = small_rand_dag(10, 0xAC);
     for budget in [1_000u64, 10_000, 100_000] {
+        let ctx = SolveCtx::with_limits(SolveLimits::with_node_limit(budget));
         group.bench_function(format!("bb_node_budget_{budget}"), |b| {
-            b.iter(|| {
-                BranchAndBound::with_node_limit(budget).solve(black_box(&tiny), black_box(&bounded))
-            })
+            b.iter(|| BranchAndBound.solve(black_box(&tiny), black_box(&bounded), &ctx))
         });
     }
     group.finish();

@@ -6,7 +6,7 @@ use mals_bench::{single_pair, small_rand_dag, small_rand_set};
 use mals_exact::BranchAndBound;
 use mals_experiments::figures::{fig10, Fig10Config};
 use mals_experiments::heft_baseline;
-use mals_sched::{MemHeft, MemMinMin, Scheduler};
+use mals_sched::{MemHeft, MemMinMin, Scheduler, SolveCtx, SolveLimits, Solver};
 use mals_util::ParallelConfig;
 use std::hint::black_box;
 use std::time::Duration;
@@ -44,10 +44,9 @@ fn bench_fig10(c: &mut Criterion) {
     group.bench_function("memminmin_one_dag_70pct", |b| {
         b.iter(|| MemMinMin::new().schedule(black_box(&graph), black_box(&bounded)))
     });
+    let ctx = SolveCtx::with_limits(SolveLimits::with_node_limit(20_000));
     group.bench_function("optimal_bb_one_dag_70pct", |b| {
-        b.iter(|| {
-            BranchAndBound::with_node_limit(20_000).solve(black_box(&graph), black_box(&bounded))
-        })
+        b.iter(|| BranchAndBound.solve(black_box(&graph), black_box(&bounded), &ctx))
     });
 
     // The whole (scaled-down) campaign, sequentially, as one measurement.

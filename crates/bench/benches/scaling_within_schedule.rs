@@ -10,9 +10,11 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use mals_bench::{large_rand_dag, single_pair, WITHIN_SCHEDULE_SEED, WITHIN_SCHEDULE_TASKS};
+use mals_dag::rank::rank_sorted_tasks;
 use mals_experiments::heft_baseline;
-use mals_sched::{MemHeft, MemMinMin, Scheduler};
-use mals_util::ParallelConfig;
+use mals_sched::memheft::schedule_with_priority_pooled;
+use mals_sched::MemMinMin;
+use mals_util::{CancelSignal, ParallelConfig, WorkerPool};
 use std::hint::black_box;
 use std::time::Duration;
 
@@ -27,16 +29,34 @@ fn bench_within_schedule(c: &mut Criterion) {
     let bound = 0.7 * heft_baseline(&graph, &platform).peaks.max();
     let bounded = platform.with_memory_bounds(bound, bound);
 
+    let cancel = CancelSignal::default();
     for &threads in &[1usize, 2, 4, 8] {
-        let cfg = ParallelConfig::with_threads(threads);
+        // The pool is built per iteration (none for one thread), so its
+        // startup is part of each measured schedule.
+        let pool = || (threads > 1).then(|| WorkerPool::new(ParallelConfig::with_threads(threads)));
         group.bench_with_input(BenchmarkId::new("memminmin", threads), &threads, |b, _| {
             b.iter(|| {
-                MemMinMin::with_parallelism(cfg).schedule(black_box(&graph), black_box(&bounded))
+                let pool = pool();
+                MemMinMin::new().schedule_pooled(
+                    black_box(&graph),
+                    black_box(&bounded),
+                    pool.as_ref(),
+                    cancel,
+                )
             })
         });
         group.bench_with_input(BenchmarkId::new("memheft", threads), &threads, |b, _| {
             b.iter(|| {
-                MemHeft::with_parallelism(cfg).schedule(black_box(&graph), black_box(&bounded))
+                let pool = pool();
+                let order = rank_sorted_tasks(black_box(&graph));
+                schedule_with_priority_pooled(
+                    &graph,
+                    black_box(&bounded),
+                    &order,
+                    pool.as_ref(),
+                    false,
+                    cancel,
+                )
             })
         });
     }

@@ -17,12 +17,14 @@
 use mals_bench::{
     large_rand_dag, single_pair, small_rand_dag, WITHIN_SCHEDULE_SEED, WITHIN_SCHEDULE_TASKS,
 };
+use mals_dag::rank::rank_sorted_tasks;
 use mals_dag::TaskGraph;
-use mals_exact::{solver_registry, ExactBackend, MilpBackend, SolveLimits};
+use mals_exact::{solver_registry, MilpBackend};
 use mals_experiments::heft_baseline;
 use mals_platform::Platform;
-use mals_sched::{Engine, EngineConfig, MemHeft, MemMinMin, Scheduler};
-use mals_util::{parallel_map, ParallelConfig};
+use mals_sched::memheft::schedule_with_priority_pooled;
+use mals_sched::{Engine, EngineConfig, MemHeft, MemMinMin, Scheduler, SolveCtx, Solver};
+use mals_util::{parallel_map, CancelSignal, ParallelConfig, WorkerPool};
 use std::time::{Instant, SystemTime, UNIX_EPOCH};
 
 /// One measured benchmark: an id stable across runs and a closure whose
@@ -54,6 +56,52 @@ fn scheduler_bench(
         run: Box::new(move || {
             let result = scheduler.schedule(&graph, &platform);
             std::hint::black_box(result.is_ok());
+        }),
+        min_samples: None,
+    }
+}
+
+/// Runs `engine` on a pool of `threads` workers built for this one call —
+/// none for one thread — so a timed closure pays the pool startup, as a
+/// one-off pooled solve does.
+fn with_pool<T>(threads: usize, engine: impl FnOnce(Option<&WorkerPool>) -> T) -> T {
+    if threads <= 1 {
+        engine(None)
+    } else {
+        let pool = WorkerPool::new(ParallelConfig::with_threads(threads));
+        engine(Some(&pool))
+    }
+}
+
+/// MemHEFT's selection engine on `pool` (rank order computed per call).
+fn memheft_pooled(graph: &TaskGraph, platform: &Platform, pool: Option<&WorkerPool>) -> bool {
+    let order = rank_sorted_tasks(graph);
+    let cancel = CancelSignal::default();
+    schedule_with_priority_pooled(graph, platform, &order, pool, false, cancel).is_ok()
+}
+
+/// MemMinMin's selection engine on `pool`.
+fn memminmin_pooled(graph: &TaskGraph, platform: &Platform, pool: Option<&WorkerPool>) -> bool {
+    let cancel = CancelSignal::default();
+    MemMinMin::new()
+        .schedule_pooled(graph, platform, pool, cancel)
+        .is_ok()
+}
+
+/// A selection-engine bench at `threads` threads, the pool built inside the
+/// timed closure (see [`with_pool`]).
+fn pooled_bench(
+    id: impl Into<String>,
+    graph: TaskGraph,
+    platform: Platform,
+    threads: usize,
+    engine: fn(&TaskGraph, &Platform, Option<&WorkerPool>) -> bool,
+) -> Bench {
+    Bench {
+        id: id.into(),
+        run: Box::new(move || {
+            let ok = with_pool(threads, |pool| engine(&graph, &platform, pool));
+            std::hint::black_box(ok);
         }),
         min_samples: None,
     }
@@ -92,11 +140,12 @@ fn benches(quick: bool) -> Vec<Bench> {
     let medium = large_rand_dag(medium_tasks, 0x5CA1E + medium_tasks as u64);
     let medium_platform = bounded_single_pair(&medium);
     for threads in [1usize, 2, 4] {
-        set.push(scheduler_bench(
+        set.push(pooled_bench(
             format!("memminmin/largerand-{medium_tasks}-t{threads}"),
             medium.clone(),
             medium_platform.clone(),
-            MemMinMin::with_parallelism(ParallelConfig::with_threads(threads)),
+            threads,
+            memminmin_pooled,
         ));
     }
     set.push(scheduler_bench(
@@ -105,11 +154,12 @@ fn benches(quick: bool) -> Vec<Bench> {
         medium_platform.clone(),
         MemHeft::new(),
     ));
-    set.push(scheduler_bench(
+    set.push(pooled_bench(
         format!("memheft/largerand-{medium_tasks}-t4"),
         medium,
         medium_platform,
-        MemHeft::with_parallelism(ParallelConfig::with_threads(4)),
+        4,
+        memheft_pooled,
     ));
 
     // The MILP exact backend on a 10-task instance at exactly HEFT's memory
@@ -126,8 +176,8 @@ fn benches(quick: bool) -> Vec<Bench> {
             id: "exact/milp-smallrand-10".into(),
             run: Box::new(move || {
                 let outcome =
-                    MilpBackend.solve(&exact_graph, &exact_platform, &SolveLimits::default());
-                std::hint::black_box(outcome.nodes());
+                    MilpBackend.solve(&exact_graph, &exact_platform, &SolveCtx::sequential());
+                std::hint::black_box(outcome.nodes);
             }),
             min_samples: None,
         });
@@ -158,8 +208,8 @@ fn benches(quick: bool) -> Vec<Bench> {
             id: "engine/per-solve-16x12-t2".into(),
             run: Box::new(move || {
                 for graph in &batch {
-                    let scheduler = MemMinMin::with_parallelism(ParallelConfig::with_threads(2));
-                    std::hint::black_box(scheduler.schedule(graph, &batch_platform).is_ok());
+                    let ok = with_pool(2, |pool| memminmin_pooled(graph, &batch_platform, pool));
+                    std::hint::black_box(ok);
                 }
             }),
             min_samples: None,
@@ -393,11 +443,12 @@ fn benches(quick: bool) -> Vec<Bench> {
     let huge_platform = bounded_single_pair(&huge);
     let ladder: &[usize] = if quick { &[1, 8] } else { &[1, 2, 4, 8] };
     for &threads in ladder {
-        set.push(scheduler_bench(
+        set.push(pooled_bench(
             format!("memminmin/largerand-{WITHIN_SCHEDULE_TASKS}-t{threads}"),
             huge.clone(),
             huge_platform.clone(),
-            MemMinMin::with_parallelism(ParallelConfig::with_threads(threads)),
+            threads,
+            memminmin_pooled,
         ));
     }
 

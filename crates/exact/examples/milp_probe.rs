@@ -1,9 +1,10 @@
 //! Ad-hoc probe: times both exact backends per seed on the proptest-style
 //! instance distribution (`--tight` switches to the 60%-of-total-volume
 //! memory bound). Useful when tuning solver budgets; not part of CI.
-use mals_exact::{BranchAndBound, ExactBackend, MilpBackend, SolveLimits};
+use mals_exact::{BranchAndBound, MilpBackend};
 use mals_gen::{DaggenParams, WeightRanges};
 use mals_platform::Platform;
+use mals_sched::{SolveCtx, Solver};
 use mals_util::Pcg64;
 use std::time::Instant;
 
@@ -28,18 +29,18 @@ fn main() {
             g.total_file_size().max(1.0)
         };
         let platform = Platform::single_pair(bound, bound);
-        let limits = SolveLimits::default();
+        let ctx = SolveCtx::sequential();
         let t0 = Instant::now();
-        let milp = MilpBackend.solve(&g, &platform, &limits);
+        let milp = MilpBackend.solve(&g, &platform, &ctx);
         let t_milp = t0.elapsed();
         let t1 = Instant::now();
-        let bb = ExactBackend::solve(&BranchAndBound::default(), &g, &platform, &limits);
+        let bb = BranchAndBound.solve(&g, &platform, &ctx);
         let t_bb = t1.elapsed();
         println!(
             "seed {seed:2} n={size:2} milp {t_milp:>12?} nodes {:>7} -> {:?} | bb {t_bb:>10?} nodes {:>6} -> {:?}",
-            milp.nodes(),
+            milp.nodes,
             milp.makespan(),
-            bb.nodes(),
+            bb.nodes,
             bb.makespan()
         );
     }

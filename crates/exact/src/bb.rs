@@ -18,7 +18,7 @@
 //!   returns a high-quality schedule.
 //!
 //! Within this decision space the returned makespan is optimal when the
-//! search completes (`proven_optimal`). The space excludes schedules that
+//! search completes (status `Optimal`). The space excludes schedules that
 //! insert deliberate idle time or start transfers earlier than necessary, a
 //! restriction shared with all list schedulers; `DESIGN.md` discusses why
 //! this is an adequate substitute for the CPLEX runs of the paper.
@@ -29,41 +29,18 @@ use crate::bounds::{
 use mals_dag::{TaskGraph, TaskId};
 use mals_platform::{Memory, Platform};
 use mals_sched::{
-    MemHeft, MemMinMin, PartialSchedule, ScheduleError, Scheduler, SolveCtx, SolveLimits, Solver,
+    MemHeft, MemMinMin, OptimalityStatus, PartialSchedule, SolveCtx, SolveLimits, SolveOutcome,
+    Solver,
 };
 use mals_sim::Schedule;
 use mals_util::{CancelSignal, EPSILON};
 
-/// Configuration of the branch-and-bound search.
-#[derive(Debug, Clone, Copy)]
-pub struct BranchAndBound {
-    /// Maximum number of search-tree nodes to expand before giving up on the
-    /// optimality proof (the best schedule found so far is still returned).
-    pub node_limit: u64,
-}
-
-impl Default for BranchAndBound {
-    fn default() -> Self {
-        BranchAndBound {
-            node_limit: 500_000,
-        }
-    }
-}
-
-/// Result of an exact solve.
-#[derive(Debug, Clone)]
-pub struct ExactResult {
-    /// Best schedule found (None when the instance is infeasible within the
-    /// memory bounds, or when the truncated search found nothing).
-    pub schedule: Option<Schedule>,
-    /// Makespan of that schedule.
-    pub makespan: Option<f64>,
-    /// `true` when the search space was fully explored: the result is then
-    /// either a provably optimal schedule or a proof of infeasibility.
-    pub proven_optimal: bool,
-    /// Number of search-tree nodes expanded.
-    pub nodes_explored: u64,
-}
+/// The branch-and-bound optimal scheduler. Its node budget is
+/// `ctx.limits.node_limit` of the [`SolveCtx`] it is solved under; past the
+/// budget the best schedule found so far is still returned, as
+/// [`OptimalityStatus::Feasible`].
+#[derive(Debug, Clone, Copy, Default)]
+pub struct BranchAndBound;
 
 struct SearchState<'a> {
     graph: &'a TaskGraph,
@@ -90,65 +67,53 @@ impl SearchState<'_> {
     }
 }
 
-impl BranchAndBound {
-    /// Creates a solver with the given node budget.
-    pub fn with_node_limit(node_limit: u64) -> Self {
-        BranchAndBound { node_limit }
+/// Maps what a search found onto the unified outcome: a schedule is
+/// `Optimal` when the search space was exhausted (`proven`), `Feasible`
+/// otherwise; no schedule is `Infeasible` when proven, `LimitHit` otherwise.
+pub(crate) fn exact_outcome(schedule: Option<Schedule>, proven: bool, nodes: u64) -> SolveOutcome {
+    match (schedule, proven) {
+        (Some(schedule), true) => {
+            SolveOutcome::with_schedule(schedule, OptimalityStatus::Optimal, nodes)
+        }
+        (Some(schedule), false) => {
+            SolveOutcome::with_schedule(schedule, OptimalityStatus::Feasible, nodes)
+        }
+        (None, true) => SolveOutcome::without_schedule(OptimalityStatus::Infeasible, nodes),
+        (None, false) => SolveOutcome::without_schedule(OptimalityStatus::LimitHit, nodes),
+    }
+}
+
+impl Solver for BranchAndBound {
+    fn name(&self) -> &str {
+        "Optimal(B&B)"
     }
 
-    /// Solves the instance exactly (within the node budget).
-    pub fn solve(&self, graph: &TaskGraph, platform: &Platform) -> ExactResult {
-        self.solve_cancellable(graph, platform, CancelSignal::default())
-    }
-
-    /// [`BranchAndBound::solve`] polling `cancel` once per expanded node
-    /// (and inside the heuristic incumbent seeding, once per commit): when
-    /// the signal trips, the search stops with `proven_optimal = false` and
-    /// returns the incumbent found so far, if any.
-    pub fn solve_cancellable(
-        &self,
-        graph: &TaskGraph,
-        platform: &Platform,
-        cancel: CancelSignal<'_>,
-    ) -> ExactResult {
-        if graph.validate().is_err() {
-            return ExactResult {
-                schedule: None,
-                makespan: None,
-                proven_optimal: false,
-                nodes_explored: 0,
-            };
+    /// The combinatorial search under `ctx.limits.node_limit`, polling
+    /// `ctx.cancel` once per expanded node (and inside the heuristic
+    /// incumbent seeding, once per commit): when the signal trips, the
+    /// search stops without a proof and returns the incumbent found so far,
+    /// if any. The pool is unused: the search is sequential by
+    /// construction.
+    fn solve(&self, graph: &TaskGraph, platform: &Platform, ctx: &SolveCtx) -> SolveOutcome {
+        if let Err(e) = graph.validate() {
+            return SolveOutcome::from_heuristic(Err(e.into()));
         }
         if graph.is_empty() {
-            return ExactResult {
-                schedule: Some(Schedule::for_graph(graph)),
-                makespan: Some(0.0),
-                proven_optimal: true,
-                nodes_explored: 0,
-            };
+            return exact_outcome(Some(Schedule::for_graph(graph)), true, 0);
         }
 
         // Static memory analysis (shared with the MILP backend): a task
         // whose files fit in neither memory proves infeasibility without
         // expanding a single node.
         if memory_feasibility(graph, platform).is_infeasible() {
-            return ExactResult {
-                schedule: None,
-                makespan: None,
-                proven_optimal: true,
-                nodes_explored: 0,
-            };
+            return exact_outcome(None, true, 0);
         }
 
         // A pre-tripped signal stops the solve before the (potentially
         // expensive on large graphs) incumbent seeding.
+        let cancel = ctx.cancel;
         if cancel.is_cancelled() {
-            return ExactResult {
-                schedule: None,
-                makespan: None,
-                proven_optimal: false,
-                nodes_explored: 0,
-            };
+            return exact_outcome(None, false, 0);
         }
 
         // Optimistic remaining work below each task (zero communications,
@@ -181,7 +146,7 @@ impl BranchAndBound {
             best_makespan,
             best_schedule,
             nodes: 0,
-            node_limit: self.node_limit,
+            node_limit: ctx.limits.node_limit,
             complete: true,
             cancel,
         };
@@ -190,23 +155,12 @@ impl BranchAndBound {
         // lower bound (strengthened by forced memory placements).
         let global_lb = makespan_lower_bound_with_memory(graph, platform);
         if state.best_makespan <= global_lb + EPSILON {
-            return ExactResult {
-                makespan: state.best_schedule.as_ref().map(|s| s.makespan()),
-                schedule: state.best_schedule,
-                proven_optimal: true,
-                nodes_explored: 0,
-            };
+            return exact_outcome(state.best_schedule, true, 0);
         }
 
         let root = PartialSchedule::new(graph, platform);
         explore(&root, &mut state);
-
-        ExactResult {
-            makespan: state.best_schedule.as_ref().map(|s| s.makespan()),
-            schedule: state.best_schedule,
-            proven_optimal: state.complete,
-            nodes_explored: state.nodes,
-        }
+        exact_outcome(state.best_schedule, state.complete, state.nodes)
     }
 }
 
@@ -277,30 +231,18 @@ fn explore(partial: &PartialSchedule<'_>, state: &mut SearchState<'_>) {
     }
 }
 
-impl Scheduler for BranchAndBound {
-    fn name(&self) -> &'static str {
-        "Optimal(B&B)"
-    }
-
-    fn schedule(&self, graph: &TaskGraph, platform: &Platform) -> Result<Schedule, ScheduleError> {
-        graph.validate()?;
-        match self.solve(graph, platform).schedule {
-            Some(s) => Ok(s),
-            None => Err(ScheduleError::Infeasible {
-                scheduled: 0,
-                total: graph.n_tasks(),
-            }),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::bounds::makespan_lower_bound;
     use mals_gen::{dex, DaggenParams, WeightRanges};
+    use mals_sched::Scheduler;
     use mals_sim::validate;
     use mals_util::Pcg64;
+
+    fn solve(graph: &TaskGraph, platform: &Platform) -> SolveOutcome {
+        BranchAndBound.solve(graph, platform, &SolveCtx::sequential())
+    }
 
     #[test]
     fn dex_optimum_with_memory_5_is_6() {
@@ -308,10 +250,9 @@ mod tests {
         // 1 blue + 1 red platform with both memory bounds equal to 5 is 6.
         let (g, _) = dex();
         let platform = Platform::single_pair(5.0, 5.0);
-        let result = BranchAndBound::default().solve(&g, &platform);
-        assert!(result.proven_optimal);
-        let makespan = result.makespan.unwrap();
-        assert_eq!(makespan, 6.0);
+        let result = solve(&g, &platform);
+        assert!(result.is_optimal());
+        assert_eq!(result.makespan(), Some(6.0));
         let report = validate(&g, &platform, &result.schedule.unwrap());
         assert!(report.is_valid(), "{:?}", report.errors);
         assert!(report.peaks.blue <= 5.0 && report.peaks.red <= 5.0);
@@ -323,9 +264,9 @@ mod tests {
         // s2 has makespan 7).
         let (g, _) = dex();
         let platform = Platform::single_pair(4.0, 4.0);
-        let result = BranchAndBound::default().solve(&g, &platform);
-        assert!(result.proven_optimal);
-        let makespan = result.makespan.expect("a schedule exists with bound 4");
+        let result = solve(&g, &platform);
+        assert!(result.is_optimal());
+        let makespan = result.makespan().expect("a schedule exists with bound 4");
         assert!(
             makespan > 6.0,
             "makespan {makespan} should exceed the bound-5 optimum"
@@ -354,8 +295,9 @@ mod tests {
                 &mut rng,
             );
             let platform = Platform::single_pair(60.0, 60.0);
-            let exact = BranchAndBound::default().solve(&g, &platform);
-            let opt = exact.makespan.expect("feasible with ample memory");
+            let opt = solve(&g, &platform)
+                .makespan()
+                .expect("feasible with ample memory");
             for heuristic in [&MemHeft::new() as &dyn Scheduler, &MemMinMin::new()] {
                 let h = heuristic.schedule(&g, &platform).unwrap();
                 assert!(
@@ -374,16 +316,14 @@ mod tests {
         let (g, _) = dex();
         // T1's output files alone need 3 units: bound 2 is hopeless.
         let platform = Platform::single_pair(2.0, 2.0);
-        let result = BranchAndBound::default().solve(&g, &platform);
+        let result = solve(&g, &platform);
         assert!(result.schedule.is_none());
-        assert!(
-            result.proven_optimal,
+        assert_eq!(
+            result.status,
+            OptimalityStatus::Infeasible,
             "exhaustive search proves infeasibility"
         );
-        let err = BranchAndBound::default()
-            .schedule(&g, &platform)
-            .unwrap_err();
-        assert!(matches!(err, ScheduleError::Infeasible { .. }));
+        assert!(result.error.is_none());
     }
 
     #[test]
@@ -400,19 +340,19 @@ mod tests {
             &mut rng,
         );
         let platform = Platform::single_pair(100.0, 100.0);
-        let truncated = BranchAndBound::with_node_limit(50).solve(&g, &platform);
+        let ctx = SolveCtx::with_limits(SolveLimits::with_node_limit(50));
+        let truncated = BranchAndBound.solve(&g, &platform, &ctx);
         // Even with a tiny budget the incumbent (heuristic) schedule remains.
         assert!(truncated.schedule.is_some());
-        assert!(truncated.nodes_explored <= 51);
+        assert!(truncated.nodes <= 51);
     }
 
     #[test]
     fn empty_graph() {
         let g = TaskGraph::new();
-        let platform = Platform::default();
-        let r = BranchAndBound::default().solve(&g, &platform);
-        assert_eq!(r.makespan, Some(0.0));
-        assert!(r.proven_optimal);
+        let r = solve(&g, &Platform::default());
+        assert_eq!(r.makespan(), Some(0.0));
+        assert!(r.is_optimal());
     }
 
     #[test]
@@ -421,8 +361,7 @@ mod tests {
         // least as good as both heuristics.
         let (g, _) = dex();
         let platform = Platform::single_pair(4.0, 5.0);
-        let exact = BranchAndBound::default().solve(&g, &platform);
-        let opt = exact.makespan.expect("feasible");
+        let opt = solve(&g, &platform).makespan().expect("feasible");
         for heuristic in [&MemHeft::new() as &dyn Scheduler, &MemMinMin::new()] {
             if let Ok(s) = heuristic.schedule(&g, &platform) {
                 assert!(opt <= s.makespan() + 1e-9);

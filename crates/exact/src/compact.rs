@@ -37,7 +37,7 @@
 //! schedule space. The two backends are completely independent implementations
 //! and are cross-checked against each other in `tests/milp_vs_bb.rs`.
 
-use crate::backend::{ExactBackend, ExactOutcome, SolveLimits};
+use crate::bb::exact_outcome;
 use crate::bounds::{
     makespan_lower_bound_with_memory, memory_feasibility, optimistic_bottom_levels,
 };
@@ -45,7 +45,9 @@ use crate::milp::{IntegralDecision, MilpLimits, MilpSolver};
 use crate::model::{LpModel, Sense, VarId, VarKind};
 use mals_dag::{algo, TaskGraph, TaskId};
 use mals_platform::{Memory, Platform};
-use mals_sched::{MemHeft, MemMinMin, PartialSchedule, SolveCtx, Solver};
+use mals_sched::{
+    MemHeft, MemMinMin, PartialSchedule, SolveCtx, SolveLimits, SolveOutcome, Solver,
+};
 use mals_sim::{validate, CommPlacement, Schedule, TaskPlacement};
 use mals_util::{CancelSignal, EPSILON};
 use std::collections::HashSet;
@@ -71,7 +73,7 @@ pub struct MilpBackend;
 
 impl MilpBackend {
     /// Above this many tasks the backend returns its heuristic incumbent as
-    /// a best-effort [`ExactOutcome::Feasible`] instead of attempting the
+    /// a best-effort `Feasible` outcome instead of attempting the
     /// MILP: the dense simplex basis grows with the square of the pair
     /// count, and in the tight-but-feasible memory band the assignment
     /// enumeration multiplies on top (measured: ≤ 16 tasks stays within
@@ -82,26 +84,17 @@ impl MilpBackend {
     pub const MAX_TASKS: usize = 16;
 }
 
-impl ExactBackend for MilpBackend {
-    fn name(&self) -> &'static str {
+impl Solver for MilpBackend {
+    fn name(&self) -> &str {
         "Optimal(MILP)"
     }
 
-    fn solve(&self, graph: &TaskGraph, platform: &Platform, limits: &SolveLimits) -> ExactOutcome {
-        solve_milp(graph, platform, limits, CancelSignal::default())
-    }
-
-    /// The MILP search polling `cancel` once per node — in the outer MILP
-    /// branch-and-bound, the heuristic incumbent seeding and the
-    /// fixed-assignment repair searches alike.
-    fn solve_cancellable(
-        &self,
-        graph: &TaskGraph,
-        platform: &Platform,
-        limits: &SolveLimits,
-        cancel: CancelSignal<'_>,
-    ) -> ExactOutcome {
-        solve_milp(graph, platform, limits, cancel)
+    /// The MILP search under `ctx.limits` (node budget = LP solves,
+    /// iteration budget per LP), polling `ctx.cancel` once per node — in
+    /// the outer MILP branch-and-bound, the heuristic incumbent seeding and
+    /// the fixed-assignment repair searches alike.
+    fn solve(&self, graph: &TaskGraph, platform: &Platform, ctx: &SolveCtx) -> SolveOutcome {
+        solve_milp(graph, platform, &ctx.limits, ctx.cancel)
     }
 }
 
@@ -527,24 +520,20 @@ fn solve_milp(
     platform: &Platform,
     limits: &SolveLimits,
     cancel: CancelSignal<'_>,
-) -> ExactOutcome {
-    if graph.validate().is_err() {
-        return ExactOutcome::LimitHit { nodes: 0 };
+) -> SolveOutcome {
+    if let Err(e) = graph.validate() {
+        return SolveOutcome::from_heuristic(Err(e.into()));
     }
     if graph.is_empty() {
-        return ExactOutcome::Optimal {
-            schedule: Schedule::for_graph(graph),
-            makespan: 0.0,
-            nodes: 0,
-        };
+        return exact_outcome(Some(Schedule::for_graph(graph)), true, 0);
     }
     let feas = memory_feasibility(graph, platform);
     if feas.is_infeasible() {
-        return ExactOutcome::Infeasible { nodes: 0 };
+        return exact_outcome(None, true, 0);
     }
     // A pre-tripped signal stops the solve before the incumbent seeding.
     if cancel.is_cancelled() {
-        return ExactOutcome::LimitHit { nodes: 0 };
+        return exact_outcome(None, false, 0);
     }
 
     // Incumbent seeding, exactly like the combinatorial backend: the best of
@@ -567,28 +556,14 @@ fn solve_milp(
     }
     // A mid-seeding trip keeps the incumbent (if any) but skips the search.
     if cancel.is_cancelled() {
-        return match best_schedule {
-            Some(schedule) => ExactOutcome::Feasible {
-                makespan: schedule.makespan(),
-                schedule,
-                nodes: 0,
-            },
-            None => ExactOutcome::LimitHit { nodes: 0 },
-        };
+        return exact_outcome(best_schedule, false, 0);
     }
     let lower_bound = makespan_lower_bound_with_memory(graph, platform);
 
     // Instances beyond the MILP's reach: fall back to the heuristic
     // incumbent without any optimality claim (mirrors a truncated B&B).
     if graph.n_tasks() > MilpBackend::MAX_TASKS {
-        return match best_schedule {
-            Some(schedule) => ExactOutcome::Feasible {
-                makespan: schedule.makespan(),
-                schedule,
-                nodes: 0,
-            },
-            None => ExactOutcome::LimitHit { nodes: 0 },
-        };
+        return exact_outcome(best_schedule, false, 0);
     }
 
     // Big-M horizon: only schedules at least as good as the incumbent are
@@ -605,11 +580,8 @@ fn solve_milp(
         lower_bound
     };
     if best_makespan <= lower_bound + EPSILON {
-        return ExactOutcome::Optimal {
-            makespan: best_makespan,
-            schedule: best_schedule.expect("finite makespan implies a schedule"),
-            nodes: 0,
-        };
+        let schedule = best_schedule.expect("finite makespan implies a schedule");
+        return exact_outcome(Some(schedule), true, 0);
     }
     let horizon = if best_makespan.is_finite() {
         if integral {
@@ -715,21 +687,7 @@ fn solve_milp(
     );
 
     let nodes = result.nodes + repair_nodes;
-    let proven = result.proven && repair_complete;
-    match (best_schedule, proven) {
-        (Some(schedule), true) => ExactOutcome::Optimal {
-            makespan: schedule.makespan(),
-            schedule,
-            nodes,
-        },
-        (Some(schedule), false) => ExactOutcome::Feasible {
-            makespan: schedule.makespan(),
-            schedule,
-            nodes,
-        },
-        (None, true) => ExactOutcome::Infeasible { nodes },
-        (None, false) => ExactOutcome::LimitHit { nodes },
-    }
+    exact_outcome(best_schedule, result.proven && repair_complete, nodes)
 }
 
 #[cfg(test)]
@@ -737,10 +695,15 @@ mod tests {
     use super::*;
     use crate::bb::BranchAndBound;
     use mals_gen::dex;
+    use mals_sched::OptimalityStatus;
 
-    fn solve(platform: &Platform) -> ExactOutcome {
+    fn solve_with(solver: &dyn Solver, graph: &TaskGraph, platform: &Platform) -> SolveOutcome {
+        solver.solve(graph, platform, &SolveCtx::sequential())
+    }
+
+    fn solve(platform: &Platform) -> SolveOutcome {
         let (g, _) = dex();
-        ExactBackend::solve(&MilpBackend, &g, platform, &SolveLimits::default())
+        solve_with(&MilpBackend, &g, platform)
     }
 
     #[test]
@@ -750,7 +713,7 @@ mod tests {
         let outcome = solve(&platform);
         assert!(outcome.is_optimal(), "{outcome:?}");
         assert!((outcome.makespan().unwrap() - 6.0).abs() < 1e-9);
-        let report = validate(&g, &platform, outcome.schedule().unwrap());
+        let report = validate(&g, &platform, outcome.schedule.as_ref().unwrap());
         assert!(report.is_valid(), "{:?}", report.errors);
         assert!(report.peaks.blue <= 5.0 + 1e-9 && report.peaks.red <= 5.0 + 1e-9);
     }
@@ -764,7 +727,7 @@ mod tests {
         let outcome = solve(&platform);
         assert!(outcome.is_optimal(), "{outcome:?}");
         assert!((outcome.makespan().unwrap() - 7.0).abs() < 1e-9);
-        let report = validate(&g, &platform, outcome.schedule().unwrap());
+        let report = validate(&g, &platform, outcome.schedule.as_ref().unwrap());
         assert!(report.is_valid(), "{:?}", report.errors);
         assert!(report.peaks.blue <= 4.0 + 1e-9 && report.peaks.red <= 4.0 + 1e-9);
     }
@@ -772,18 +735,14 @@ mod tests {
     #[test]
     fn dex_infeasible_with_memory_2_is_proven() {
         let outcome = solve(&Platform::single_pair(2.0, 2.0));
-        assert!(matches!(outcome, ExactOutcome::Infeasible { nodes: 0 }));
+        assert_eq!(outcome.status, OptimalityStatus::Infeasible);
+        assert_eq!(outcome.nodes, 0);
     }
 
     #[test]
     fn empty_graph_is_trivially_optimal() {
         let g = TaskGraph::new();
-        let outcome = ExactBackend::solve(
-            &MilpBackend,
-            &g,
-            &Platform::default(),
-            &SolveLimits::default(),
-        );
+        let outcome = solve_with(&MilpBackend, &g, &Platform::default());
         assert!(outcome.is_optimal());
         assert_eq!(outcome.makespan(), Some(0.0));
     }
@@ -793,15 +752,18 @@ mod tests {
         let (g, _) = dex();
         for (blue, red) in [(4.0, 5.0), (5.0, 4.0), (3.0, 5.0), (10.0, 10.0)] {
             let platform = Platform::single_pair(blue, red);
-            let milp = ExactBackend::solve(&MilpBackend, &g, &platform, &SolveLimits::default());
-            let bb = BranchAndBound::default().solve(&g, &platform);
-            assert!(bb.proven_optimal);
-            match (milp.makespan(), bb.makespan) {
+            let milp = solve_with(&MilpBackend, &g, &platform);
+            let bb = solve_with(&BranchAndBound, &g, &platform);
+            assert!(matches!(
+                bb.status,
+                OptimalityStatus::Optimal | OptimalityStatus::Infeasible
+            ));
+            match (milp.makespan(), bb.makespan()) {
                 (Some(a), Some(b)) => {
                     assert!(milp.is_optimal());
                     assert!((a - b).abs() < 1e-6, "({blue},{red}): milp {a} vs bb {b}");
                 }
-                (None, None) => assert!(milp.is_proven()),
+                (None, None) => assert_eq!(milp.status, OptimalityStatus::Infeasible),
                 (a, b) => panic!("({blue},{red}): milp {a:?} vs bb {b:?}"),
             }
         }
@@ -815,11 +777,11 @@ mod tests {
         let platform = Platform::single_pair(10.0, 3.5);
         let outcome = solve(&platform);
         assert!(outcome.is_optimal(), "{outcome:?}");
-        let schedule = outcome.schedule().unwrap();
+        let schedule = outcome.schedule.as_ref().unwrap();
         let report = validate(&g, &platform, schedule);
         assert!(report.is_valid(), "{:?}", report.errors);
-        let bb = BranchAndBound::default().solve(&g, &platform);
-        assert!((outcome.makespan().unwrap() - bb.makespan.unwrap()).abs() < 1e-6);
+        let bb = solve_with(&BranchAndBound, &g, &platform);
+        assert!((outcome.makespan().unwrap() - bb.makespan().unwrap()).abs() < 1e-6);
     }
 
     #[test]
@@ -828,12 +790,12 @@ mod tests {
         // the extraction handles the packing; cross-check against bb.
         let (g, _) = dex();
         let platform = Platform::new(2, 2, 6.0, 6.0).unwrap();
-        let milp = ExactBackend::solve(&MilpBackend, &g, &platform, &SolveLimits::default());
-        let bb = BranchAndBound::default().solve(&g, &platform);
-        assert!(bb.proven_optimal);
-        let (a, b) = (milp.makespan().unwrap(), bb.makespan.unwrap());
+        let milp = solve_with(&MilpBackend, &g, &platform);
+        let bb = solve_with(&BranchAndBound, &g, &platform);
+        assert!(bb.is_optimal());
+        let (a, b) = (milp.makespan().unwrap(), bb.makespan().unwrap());
         assert!((a - b).abs() < 1e-6, "milp {a} vs bb {b}");
-        let report = validate(&g, &platform, milp.schedule().unwrap());
+        let report = validate(&g, &platform, milp.schedule.as_ref().unwrap());
         assert!(report.is_valid(), "{:?}", report.errors);
     }
 }

@@ -22,19 +22,23 @@
 //! * [`compact`] — the MILP **exact backend**: a compact disjunctive model
 //!   solved with the in-tree MILP machinery, with lazy memory enforcement
 //!   through the simulator's validator;
-//! * [`backend`] — the pluggable [`backend::ExactBackend`] layer tying the
-//!   three backends (B&B, MILP, LP export) behind one trait for the
-//!   experiment campaigns (`--exact-backend {milp,bb,lp-export}`);
-//! * [`solvers`] — the backends as unified [`mals_sched::Solver`]s and
-//!   [`solver_registry`], the full name-keyed registry (heuristics + exact)
-//!   that the drivers and the service surface resolve solver names against;
+//! * [`solvers`] — [`solver_registry`], the full name-keyed registry
+//!   (heuristics + `bb` + `milp`) that the drivers and the service surface
+//!   resolve solver names against;
 //! * [`bounds`] — makespan lower bounds (critical path, load balance,
 //!   memory-feasibility) shared by both exact solvers for pruning and
 //!   plotted as the "Lower bound" series of Figure 11.
+//!
+//! Both exact solvers are plain [`mals_sched::Solver`]s:
+//! `Solver::solve(graph, platform, &SolveCtx)` is the only way to run them,
+//! and the [`mals_sched::SolveCtx`] is the only place a solve reads its node
+//! budget, LP iteration budget and cancel signal from. Invalid graphs are
+//! reported exactly as the heuristics report them. The § 4 ILP export is
+//! not a solver: `build_ilp(graph, platform).to_lp_format()` is the whole
+//! exporter.
 
 #![warn(missing_docs)]
 
-pub mod backend;
 pub mod bb;
 pub mod bounds;
 pub mod compact;
@@ -44,8 +48,7 @@ pub mod model;
 pub mod simplex;
 pub mod solvers;
 
-pub use backend::{ExactBackend, ExactBackendKind, ExactOutcome, ExactScheduler, SolveLimits};
-pub use bb::{BranchAndBound, ExactResult};
+pub use bb::BranchAndBound;
 pub use bounds::{
     critical_path_lower_bound, load_lower_bound, makespan_lower_bound, memory_feasibility,
     optimistic_bottom_levels, MemoryFeasibility,
@@ -55,4 +58,4 @@ pub use ilp::{build_ilp, IlpStats};
 pub use milp::{MilpLimits, MilpResult, MilpSolver, MilpStatus};
 pub use model::{Constraint, LpModel, Sense, StandardForm, VarId, VarKind};
 pub use simplex::{solve_lp, LpSolution, LpStatus};
-pub use solvers::{engine, outcome_from_exact, solver_registry};
+pub use solvers::{engine, solver_registry};

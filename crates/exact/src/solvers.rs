@@ -1,93 +1,19 @@
-//! The exact backends as unified [`Solver`]s, and the full solver registry.
+//! The full solver registry.
 //!
-//! [`mals_sched::Solver`] subsumes the heuristics and the exact layer behind
-//! one interface; this module implements it for every [`ExactBackend`] in
-//! the crate (mapping [`ExactOutcome`] onto [`SolveOutcome`]) and assembles
-//! [`solver_registry`] — the registry the experiment binaries, the facade
-//! and the JSON service surface resolve solver names against:
+//! [`solver_registry`] is the registry the experiment binaries, the facade
+//! and the JSON service surface resolve solver names against: every
+//! heuristic of `mals_sched` plus the two exact solvers of this crate, each
+//! of which implements [`mals_sched::Solver`] directly.
 //!
 //! | key | solver | status on success |
 //! |---|---|---|
 //! | every [`SolverRegistry::heuristics`] key | `memheft`, `minmin`, … | `Heuristic` |
 //! | `bb` | [`BranchAndBound`] | `Optimal` / `Feasible` |
 //! | `milp` | [`MilpBackend`] | `Optimal` / `Feasible` |
-//! | `lp-export` | [`LpExport`] (writes nothing without a path) | `LimitHit` |
 
-use crate::backend::{ExactBackend, ExactOutcome, LpExport};
 use crate::bb::BranchAndBound;
 use crate::compact::MilpBackend;
-use mals_dag::TaskGraph;
-use mals_platform::Platform;
-use mals_sched::{
-    Engine, EngineConfig, OptimalityStatus, SolveCtx, SolveOutcome, Solver, SolverInfo,
-    SolverRegistry,
-};
-
-/// Maps an exact-backend outcome onto the unified outcome type.
-pub fn outcome_from_exact(outcome: ExactOutcome) -> SolveOutcome {
-    match outcome {
-        ExactOutcome::Optimal {
-            schedule, nodes, ..
-        } => SolveOutcome::with_schedule(schedule, OptimalityStatus::Optimal, nodes),
-        ExactOutcome::Feasible {
-            schedule, nodes, ..
-        } => SolveOutcome::with_schedule(schedule, OptimalityStatus::Feasible, nodes),
-        ExactOutcome::Infeasible { nodes } => {
-            SolveOutcome::without_schedule(OptimalityStatus::Infeasible, nodes)
-        }
-        ExactOutcome::LimitHit { nodes } => {
-            SolveOutcome::without_schedule(OptimalityStatus::LimitHit, nodes)
-        }
-    }
-}
-
-impl Solver for BranchAndBound {
-    fn name(&self) -> &str {
-        ExactBackend::name(self)
-    }
-
-    /// The combinatorial search under `ctx.limits` (the pool is unused: the
-    /// search is sequential by construction), polling `ctx.cancel` per node.
-    fn solve(&self, graph: &TaskGraph, platform: &Platform, ctx: &SolveCtx) -> SolveOutcome {
-        outcome_from_exact(ExactBackend::solve_cancellable(
-            self,
-            graph,
-            platform,
-            &ctx.limits,
-            ctx.cancel,
-        ))
-    }
-}
-
-impl Solver for MilpBackend {
-    fn name(&self) -> &str {
-        ExactBackend::name(self)
-    }
-
-    /// The MILP search under `ctx.limits` (node budget = LP solves,
-    /// iteration budget per LP), polling `ctx.cancel` per node.
-    fn solve(&self, graph: &TaskGraph, platform: &Platform, ctx: &SolveCtx) -> SolveOutcome {
-        outcome_from_exact(ExactBackend::solve_cancellable(
-            self,
-            graph,
-            platform,
-            &ctx.limits,
-            ctx.cancel,
-        ))
-    }
-}
-
-impl Solver for LpExport {
-    fn name(&self) -> &str {
-        ExactBackend::name(self)
-    }
-
-    /// Writes the § 4 ILP when a path is configured and reports
-    /// [`OptimalityStatus::LimitHit`] — the exporter never solves.
-    fn solve(&self, graph: &TaskGraph, platform: &Platform, ctx: &SolveCtx) -> SolveOutcome {
-        outcome_from_exact(ExactBackend::solve(self, graph, platform, &ctx.limits))
-    }
-}
+use mals_sched::{Engine, EngineConfig, SolverInfo, SolverRegistry};
 
 /// The full solver registry: every heuristic and ablation variant of
 /// `mals_sched` plus the exact backends of this crate.
@@ -100,7 +26,7 @@ pub fn solver_registry() -> SolverRegistry {
             memory_aware: true,
             exact: true,
         },
-        |_| Box::new(BranchAndBound::default()),
+        |_| Box::new(BranchAndBound),
     );
     registry.register(
         SolverInfo {
@@ -110,15 +36,6 @@ pub fn solver_registry() -> SolverRegistry {
             exact: true,
         },
         |_| Box::new(MilpBackend),
-    );
-    registry.register(
-        SolverInfo {
-            key: "lp-export",
-            summary: "ILP(LP-export) — emits the paper's §4 ILP in CPLEX LP text (does not solve)",
-            memory_aware: true,
-            exact: false,
-        },
-        |_| Box::new(LpExport::default()),
     );
     registry
 }
@@ -133,19 +50,21 @@ pub fn engine(config: EngineConfig) -> Engine {
 mod tests {
     use super::*;
     use mals_gen::dex;
-    use mals_sched::SolveLimits;
+    use mals_platform::Platform;
+    use mals_sched::{OptimalityStatus, SolveCtx, SolveLimits};
     use mals_sim::validate;
 
     #[test]
     fn registry_contains_heuristics_and_exact_backends() {
         let registry = solver_registry();
-        assert_eq!(registry.len(), 14);
-        for key in ["memheft", "heft", "bb", "milp", "lp-export"] {
+        assert_eq!(registry.len(), 13);
+        for key in ["memheft", "heft", "bb", "milp"] {
             assert!(registry.entry(key).is_some(), "missing {key}");
         }
         assert!(registry.entry("bb").unwrap().info.exact);
         assert!(registry.entry("milp").unwrap().info.exact);
-        assert!(!registry.entry("lp-export").unwrap().info.exact);
+        // The LP exporter writes a model; it is not a solver.
+        assert!(registry.entry("lp-export").is_none());
     }
 
     #[test]
@@ -179,20 +98,6 @@ mod tests {
     }
 
     #[test]
-    fn lp_export_solver_reports_limit_hit() {
-        let registry = solver_registry();
-        let (g, _) = dex();
-        let outcome = registry.build("lp-export").unwrap().solve(
-            &g,
-            &Platform::single_pair(5.0, 5.0),
-            &SolveCtx::sequential(),
-        );
-        assert_eq!(outcome.status, OptimalityStatus::LimitHit);
-        assert!(outcome.schedule.is_none());
-        assert_eq!(outcome.nodes, 0);
-    }
-
-    #[test]
     fn engine_solves_by_exact_name_and_respects_limits() {
         let engine =
             engine(EngineConfig::sequential().with_limits(SolveLimits::with_node_limit(200_000)));
@@ -217,9 +122,5 @@ mod tests {
         let registry = solver_registry();
         assert_eq!(registry.build("bb").unwrap().name(), "Optimal(B&B)");
         assert_eq!(registry.build("milp").unwrap().name(), "Optimal(MILP)");
-        assert_eq!(
-            registry.build("lp-export").unwrap().name(),
-            "ILP(LP-export)"
-        );
     }
 }

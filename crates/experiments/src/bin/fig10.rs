@@ -2,8 +2,7 @@
 //! of MemHEFT, MemMinMin and the optimal schedule versus the normalised
 //! memory bound, on a 1 blue + 1 red processor platform.
 
-use mals_exact::ExactBackendKind;
-use mals_experiments::cli;
+use mals_experiments::cli::{self, ExactBackendKind};
 use mals_experiments::csv::campaign_to_csv;
 use mals_experiments::figures::{fig10_with_io, Fig10Config};
 use mals_gen::SetParams;

@@ -9,8 +9,8 @@
 //! `--exact-backend lp-export` the random workload's § 4 ILP is printed in
 //! CPLEX LP format instead.
 
-use mals_exact::{solver_registry, ExactBackendKind};
-use mals_experiments::cli;
+use mals_exact::solver_registry;
+use mals_experiments::cli::{self, ExactBackendKind};
 use mals_experiments::heft_baseline;
 use mals_experiments::min_memory::minimum_memory_table;
 use mals_gen::{cholesky_dag, lu_dag, KernelCosts, SetParams};

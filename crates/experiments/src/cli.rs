@@ -9,8 +9,46 @@
 //! wins when both are given, `0` means all cores).
 
 use crate::campaign::CampaignIo;
-use mals_exact::{ExactBackendKind, MilpBackend};
+use mals_exact::{build_ilp, MilpBackend};
 use mals_util::ParallelConfig;
+
+/// The values of the `--exact-backend` flag.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ExactBackendKind {
+    /// Combinatorial branch-and-bound over the list-scheduling space.
+    BranchAndBound,
+    /// In-tree simplex + MILP branch-and-bound over the compact model.
+    Milp,
+    /// CPLEX LP text export of the paper's full ILP (does not solve; see
+    /// [`handle_lp_export`]).
+    LpExport,
+}
+
+impl ExactBackendKind {
+    /// Parses the `--exact-backend` flag value.
+    pub fn parse(s: &str) -> Option<Self> {
+        match s {
+            "bb" => Some(ExactBackendKind::BranchAndBound),
+            "milp" => Some(ExactBackendKind::Milp),
+            "lp-export" => Some(ExactBackendKind::LpExport),
+            _ => None,
+        }
+    }
+
+    /// The flag values accepted by [`ExactBackendKind::parse`].
+    pub const FLAG_VALUES: &'static str = "bb|milp|lp-export";
+
+    /// The solver-registry key of this backend (see
+    /// [`mals_exact::solver_registry`]), equal to its flag value; `None`
+    /// for the LP export, which is an exporter, not a solver.
+    pub fn solver_key(self) -> Option<&'static str> {
+        match self {
+            ExactBackendKind::BranchAndBound => Some("bb"),
+            ExactBackendKind::Milp => Some("milp"),
+            ExactBackendKind::LpExport => None,
+        }
+    }
+}
 
 /// Parsed command-line options of a figure binary.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -55,9 +93,10 @@ impl Options {
     }
 
     /// Resolves the exact-series solver of a binary into a registry key
-    /// (`"bb"` / `"milp"` / `"lp-export"`): the `--exact-backend` flag wins
-    /// over `default`, and a MILP selection above its certification ceiling
-    /// warns via [`warn_milp_ceiling`]. This is the `--exact-backend`
+    /// (`"bb"` / `"milp"`; `None` for no exact series or for `lp-export`,
+    /// which [`handle_lp_export`] serves before any solve): the
+    /// `--exact-backend` flag wins over `default`, and a MILP selection
+    /// above its certification ceiling warns via [`warn_milp_ceiling`]. This is the `--exact-backend`
     /// wiring that used to be copy-pasted across `fig10`–`fig13` and
     /// `minmem`; `n_tasks`/`instance` describe the instance for the
     /// ceiling warning.
@@ -69,7 +108,7 @@ impl Options {
     ) -> Option<String> {
         let kind = self.exact_backend.or(default)?;
         warn_milp_ceiling(Some(kind), n_tasks, instance);
-        Some(kind.solver_key().to_string())
+        kind.solver_key().map(str::to_string)
     }
 
     /// The campaign checkpoint/resume options of this invocation, with
@@ -188,10 +227,7 @@ pub fn print_ilp_export(graph: &mals_dag::TaskGraph, platform: &mals_platform::P
         "# exporting the Section-4 ILP ({} tasks, memory bounds = HEFT requirement {bound})",
         graph.n_tasks()
     );
-    print!(
-        "{}",
-        mals_exact::backend::LpExport::export_text(graph, &bounded)
-    );
+    print!("{}", build_ilp(graph, &bounded).to_lp_format());
 }
 
 /// Dispatches `--exact-backend lp-export`: when selected, builds the
@@ -324,14 +360,32 @@ mod tests {
         assert_eq!(solver_display_name("memheft"), "MemHEFT");
         // Unknown keys echo back so header lines never panic.
         assert_eq!(solver_display_name("mystery"), "mystery");
-        // Every backend kind's key is registered.
-        for kind in [
-            ExactBackendKind::BranchAndBound,
-            ExactBackendKind::Milp,
-            ExactBackendKind::LpExport,
-        ] {
-            assert_eq!(solver_display_name(kind.solver_key()), kind.method_name());
+    }
+
+    #[test]
+    fn every_exact_solver_key_is_registered() {
+        let registry = mals_exact::solver_registry();
+        let defaults = [None, Some(ExactBackendKind::BranchAndBound)];
+        let mut flags = vec![Vec::new()];
+        for value in ExactBackendKind::FLAG_VALUES.split('|') {
+            flags.push(vec!["--exact-backend", value]);
         }
+        let mut resolved = Vec::new();
+        for flag in &flags {
+            let options = parse_strs(flag).unwrap();
+            for default in defaults {
+                if let Some(key) = options.exact_solver(default, 8, "test") {
+                    assert!(registry.entry(&key).is_some(), "{key} is not registered");
+                    resolved.push(key);
+                }
+            }
+        }
+        resolved.sort();
+        resolved.dedup();
+        assert_eq!(resolved, ["bb", "milp"]);
+        // The LP export is served before any solve and names no solver.
+        let lp = parse_strs(&["--exact-backend", "lp-export"]).unwrap();
+        assert_eq!(lp.exact_solver(None, 8, "test"), None);
     }
 
     #[test]

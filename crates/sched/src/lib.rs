@@ -1,7 +1,8 @@
 //! Memory-aware list scheduling heuristics for hybrid (dual-memory)
 //! platforms — the core contribution of the paper.
 //!
-//! Four schedulers are provided behind the common [`Scheduler`] trait:
+//! Four schedulers are provided, each a [`Solver`] (and, for a plain
+//! sequential run with a typed error, a [`Scheduler`]):
 //!
 //! | Scheduler | Paper reference | Memory aware? | Task ordering |
 //! |---|---|---|---|

@@ -22,7 +22,7 @@ use crate::traits::Scheduler;
 use mals_dag::{rank, TaskGraph, TaskId};
 use mals_platform::Platform;
 use mals_sim::Schedule;
-use mals_util::{CancelSignal, ChunkedIndexSet, ParallelConfig, WorkerPool};
+use mals_util::{CancelSignal, ChunkedIndexSet, WorkerPool};
 
 /// Per-schedule scratch buffers of the selection loop: reused across every
 /// step so steady state allocates nothing per commit (the allocation-free
@@ -39,83 +39,34 @@ struct SelectScratch {
 
 /// The MemHEFT scheduler (Algorithm 1 of the paper).
 ///
-/// With [`MemHeft::with_parallelism`] the per-step scan of the priority list
-/// evaluates the ready candidates on a per-schedule [`WorkerPool`]; the
-/// committed placements — and therefore the schedule — stay bit-identical to
-/// the sequential run.
-#[derive(Debug, Clone, Copy)]
-pub struct MemHeft {
-    parallel: ParallelConfig,
-}
-
-impl Default for MemHeft {
-    fn default() -> Self {
-        Self::new()
-    }
-}
+/// Solved through [`Solver`](crate::Solver), the per-step scan of the
+/// priority list evaluates the ready candidates on `SolveCtx::pool`; the
+/// committed placements — and therefore the schedule — stay bit-identical
+/// to the sequential run of the [`Scheduler`] entry point.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct MemHeft;
 
 impl MemHeft {
-    /// Creates a (sequential) MemHEFT scheduler.
+    /// Creates a MemHEFT scheduler.
     pub fn new() -> Self {
-        MemHeft {
-            parallel: ParallelConfig::sequential(),
-        }
+        MemHeft
     }
-
-    /// Creates a MemHEFT scheduler that evaluates ready candidates with the
-    /// given thread configuration.
-    pub fn with_parallelism(parallel: ParallelConfig) -> Self {
-        MemHeft { parallel }
-    }
-}
-
-/// Runs the MemHEFT selection loop on an externally supplied priority list,
-/// sequentially (see [`schedule_with_priority_engine`]).
-///
-/// `order` must contain every task exactly once; the list is scanned from the
-/// front and the first task that is both ready and memory-feasible is
-/// committed, then the scan restarts. This entry point is shared with the
-/// ablation variants (`mals_sched::ablation`), which only change how the
-/// priority list is built.
-pub fn schedule_with_priority(
-    graph: &TaskGraph,
-    platform: &Platform,
-    order: &[TaskId],
-) -> Result<Schedule, ScheduleError> {
-    schedule_with_priority_engine(graph, platform, order, ParallelConfig::sequential(), false)
 }
 
 /// The shared MemHEFT-family selection engine: scan `order` from the front,
 /// commit the first task that is both ready and memory-feasible, restart.
 ///
-/// `parallel` spreads the EST evaluations of the ready candidates over a
-/// [`WorkerPool`]; `prefer_red` flips the memory chosen on exact EFT ties
-/// (the ablation variants exercise both policies). For any fixed inputs the
-/// committed placements are identical for every thread count, because the
-/// parallel scan evaluates the same candidates against the same immutable
-/// state and keeps the first feasible one in priority order.
-pub fn schedule_with_priority_engine(
-    graph: &TaskGraph,
-    platform: &Platform,
-    order: &[TaskId],
-    parallel: ParallelConfig,
-    prefer_red: bool,
-) -> Result<Schedule, ScheduleError> {
-    let cancel = CancelSignal::default();
-    if parallel.resolved_threads() <= 1 {
-        schedule_with_priority_pooled(graph, platform, order, None, prefer_red, cancel)
-    } else {
-        // A transient pool for this one schedule; callers that solve many
-        // graphs should hold a pool (e.g. via an `Engine`) and use
-        // [`schedule_with_priority_pooled`] to amortise the thread startup.
-        let pool = WorkerPool::new(parallel);
-        schedule_with_priority_pooled(graph, platform, order, Some(&pool), prefer_red, cancel)
-    }
-}
-
-/// [`schedule_with_priority_engine`] on an externally owned worker pool
-/// (`None` or a 1-thread pool: sequential scan). The committed placements —
-/// and therefore the schedule — are bit-identical for every pool size.
+/// `order` must contain every task exactly once. This entry point is shared
+/// with the ablation variants (`mals_sched::ablation`), which only change
+/// how the priority list is built; `prefer_red` flips the memory chosen on
+/// exact EFT ties (the ablation variants exercise both policies).
+///
+/// `pool` spreads the EST evaluations of the ready candidates over an
+/// externally owned worker pool (`None` or a 1-thread pool: sequential
+/// scan). The committed placements — and therefore the schedule — are
+/// bit-identical for every pool size, because the parallel scan evaluates
+/// the same candidates against the same immutable state and keeps the first
+/// feasible one in priority order.
 ///
 /// The loop is incremental (the tentpole of the scaling refactor): the ready
 /// candidates are kept in a priority-position-ordered set maintained by
@@ -267,8 +218,11 @@ impl Scheduler for MemHeft {
     }
 
     fn schedule(&self, graph: &TaskGraph, platform: &Platform) -> Result<Schedule, ScheduleError> {
+        // The rank computation itself requires acyclicity.
+        graph.validate()?;
         let order = rank::rank_sorted_tasks(graph);
-        schedule_with_priority_engine(graph, platform, &order, self.parallel, false)
+        let cancel = CancelSignal::default();
+        schedule_with_priority_pooled(graph, platform, &order, None, false, cancel)
     }
 }
 
@@ -277,7 +231,7 @@ mod tests {
     use super::*;
     use mals_gen::{dex, DaggenParams, WeightRanges};
     use mals_sim::{memory_peaks, validate};
-    use mals_util::Pcg64;
+    use mals_util::{ParallelConfig, Pcg64};
 
     #[test]
     fn schedules_dex_with_ample_memory() {
@@ -360,6 +314,18 @@ mod tests {
         assert_eq!(MemHeft::new().name(), "MemHEFT");
     }
 
+    /// MemHEFT on a fresh pool of `threads` workers.
+    fn memheft_on(
+        threads: usize,
+        graph: &TaskGraph,
+        platform: &Platform,
+    ) -> Result<Schedule, ScheduleError> {
+        let pool = WorkerPool::new(ParallelConfig::with_threads(threads));
+        let order = rank::rank_sorted_tasks(graph);
+        let cancel = CancelSignal::default();
+        schedule_with_priority_pooled(graph, platform, &order, Some(&pool), false, cancel)
+    }
+
     #[test]
     fn parallel_schedule_is_bit_identical_to_sequential() {
         let mut rng = Pcg64::new(4321);
@@ -370,12 +336,10 @@ mod tests {
                 &mut rng,
             );
             let platform = Platform::new(2, 2, 180.0, 180.0).unwrap();
-            let sequential = MemHeft::new().schedule(&g, &platform).unwrap();
+            let sequential = MemHeft::new().schedule(&g, &platform);
+            assert!(sequential.is_ok());
             for threads in [2, 4, 8] {
-                let parallel =
-                    MemHeft::with_parallelism(mals_util::ParallelConfig::with_threads(threads))
-                        .schedule(&g, &platform)
-                        .unwrap();
+                let parallel = memheft_on(threads, &g, &platform);
                 assert_eq!(sequential, parallel, "{threads} threads diverged");
             }
         }
@@ -385,12 +349,11 @@ mod tests {
     fn parallel_and_sequential_agree_on_infeasible_instances() {
         let (g, _) = dex();
         let platform = Platform::single_pair(2.0, 2.0);
-        let seq = MemHeft::new().schedule(&g, &platform).unwrap_err();
-        let par = MemHeft::with_parallelism(mals_util::ParallelConfig::with_threads(4))
-            .schedule(&g, &platform)
-            .unwrap_err();
-        assert!(matches!(seq, ScheduleError::Infeasible { .. }));
-        assert!(matches!(par, ScheduleError::Infeasible { .. }));
+        let seq = MemHeft::new().schedule(&g, &platform);
+        let par = memheft_on(4, &g, &platform);
+        assert!(matches!(seq, Err(ScheduleError::Infeasible { .. })));
+        // The whole error, placed-task count included, agrees.
+        assert_eq!(seq, par);
     }
 
     #[test]
@@ -401,9 +364,15 @@ mod tests {
         g.add_edge(a, b, 1.0, 1.0).unwrap();
         g.add_edge(b, a, 1.0, 1.0).unwrap();
         let platform = Platform::default();
-        // The rank computation itself requires acyclicity, so go through the
-        // priority-list entry point with an arbitrary order.
-        let err = schedule_with_priority(&g, &platform, &[a, b]).unwrap_err();
+        // The engine rejects it for any priority list, and the ranked entry
+        // points reject it before the rank computation (which would panic).
+        let cancel = CancelSignal::default();
+        let err =
+            schedule_with_priority_pooled(&g, &platform, &[a, b], None, false, cancel).unwrap_err();
         assert!(matches!(err, ScheduleError::InvalidGraph(_)));
+        for scheduler in [&MemHeft::new() as &dyn Scheduler, &crate::Heft::new()] {
+            let err = scheduler.schedule(&g, &platform).unwrap_err();
+            assert!(matches!(err, ScheduleError::InvalidGraph(_)));
+        }
     }
 }

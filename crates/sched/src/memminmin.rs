@@ -13,37 +13,21 @@ use crate::traits::Scheduler;
 use mals_dag::{TaskGraph, TaskId};
 use mals_platform::Platform;
 use mals_sim::Schedule;
-use mals_util::{CancelSignal, ParallelConfig, WorkerPool};
+use mals_util::{CancelSignal, WorkerPool};
 
 /// The MemMinMin scheduler (Algorithm 2 of the paper).
 ///
-/// Every selection step evaluates the whole ready list; with
-/// [`MemMinMin::with_parallelism`] those evaluations are spread over a
-/// per-schedule [`WorkerPool`] and the schedule stays bit-identical to the
-/// sequential run.
-#[derive(Debug, Clone, Copy)]
-pub struct MemMinMin {
-    parallel: ParallelConfig,
-}
-
-impl Default for MemMinMin {
-    fn default() -> Self {
-        Self::new()
-    }
-}
+/// Every selection step evaluates the whole ready list; solved through
+/// [`Solver`](crate::Solver), those evaluations are spread over
+/// `SolveCtx::pool` and the schedule stays bit-identical to the sequential
+/// run of the [`Scheduler`] entry point.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct MemMinMin;
 
 impl MemMinMin {
-    /// Creates a (sequential) MemMinMin scheduler.
+    /// Creates a MemMinMin scheduler.
     pub fn new() -> Self {
-        MemMinMin {
-            parallel: ParallelConfig::sequential(),
-        }
-    }
-
-    /// Creates a MemMinMin scheduler that evaluates the ready list with the
-    /// given thread configuration.
-    pub fn with_parallelism(parallel: ParallelConfig) -> Self {
-        MemMinMin { parallel }
+        MemMinMin
     }
 
     /// Runs the selection loop on an externally owned worker pool (`None` or
@@ -125,15 +109,7 @@ impl Scheduler for MemMinMin {
     }
 
     fn schedule(&self, graph: &TaskGraph, platform: &Platform) -> Result<Schedule, ScheduleError> {
-        let cancel = CancelSignal::default();
-        if self.parallel.resolved_threads() <= 1 {
-            self.schedule_pooled(graph, platform, None, cancel)
-        } else {
-            // One pool for the whole schedule: the workers persist across
-            // the thousands of selection steps instead of being re-spawned.
-            let pool = WorkerPool::new(self.parallel);
-            self.schedule_pooled(graph, platform, Some(&pool), cancel)
-        }
+        self.schedule_pooled(graph, platform, None, CancelSignal::default())
     }
 }
 
@@ -142,7 +118,7 @@ mod tests {
     use super::*;
     use mals_gen::{dex, DaggenParams, WeightRanges};
     use mals_sim::validate;
-    use mals_util::Pcg64;
+    use mals_util::{ParallelConfig, Pcg64};
 
     #[test]
     fn schedules_dex_within_bounds() {
@@ -188,11 +164,16 @@ mod tests {
                 &mut rng,
             );
             let platform = Platform::new(2, 2, 150.0, 150.0).unwrap();
-            let sequential = MemMinMin::new().schedule(&g, &platform).unwrap();
+            let sequential = MemMinMin::new().schedule(&g, &platform);
+            assert!(sequential.is_ok());
             for threads in [2, 4, 8] {
-                let parallel = MemMinMin::with_parallelism(ParallelConfig::with_threads(threads))
-                    .schedule(&g, &platform)
-                    .unwrap();
+                let pool = WorkerPool::new(ParallelConfig::with_threads(threads));
+                let parallel = MemMinMin::new().schedule_pooled(
+                    &g,
+                    &platform,
+                    Some(&pool),
+                    CancelSignal::default(),
+                );
                 assert_eq!(sequential, parallel, "{threads} threads diverged");
             }
         }

@@ -342,8 +342,12 @@ impl Solver for Portfolio {
     }
 
     /// Races the members and returns the aggregate outcome (use
-    /// [`Portfolio::solve_race`] for the per-member breakdown).
+    /// [`Portfolio::solve_race`] for the per-member breakdown). An invalid
+    /// graph is reported as every other solver reports it, without a race.
     fn solve(&self, graph: &TaskGraph, platform: &Platform, ctx: &SolveCtx) -> SolveOutcome {
+        if let Err(e) = graph.validate() {
+            return SolveOutcome::from_heuristic(Err(e.into()));
+        }
         self.solve_race(graph, platform, ctx).outcome
     }
 }

@@ -1,17 +1,20 @@
 //! The unified solver interface.
 //!
-//! Historically the workspace had two parallel solving worlds: the heuristics
-//! behind [`Scheduler`] and the exact backends behind
-//! `mals_exact::ExactBackend`, and every experiment driver hard-coded which
-//! structs it instantiated. The [`Solver`] trait subsumes both: a solve takes
-//! a task graph, a platform and a [`SolveCtx`] (budgets + an optional shared
-//! worker pool) and returns a [`SolveOutcome`] — the schedule, if any,
-//! together with an [`OptimalityStatus`] saying *what was proven about it*.
+//! Every solving algorithm of the workspace — heuristic or exact — is a
+//! [`Solver`]: a solve takes a task graph, a platform and a [`SolveCtx`]
+//! and returns a [`SolveOutcome`] — the schedule, if any, together with an
+//! [`OptimalityStatus`] saying *what was proven about it*. The context is
+//! the only place a solve reads its budgets, worker pool and cancel signal
+//! from; the solvers themselves carry no such knobs.
 //!
 //! * heuristics return [`OptimalityStatus::Heuristic`] schedules;
-//! * exact solvers return `Optimal`, `Feasible` (incumbent without a proof),
-//!   `Infeasible` or `LimitHit`;
-//! * the LP exporter "solves" nothing and reports `LimitHit`.
+//! * exact solvers (`mals_exact`'s `bb` and `milp`) return `Optimal`,
+//!   `Feasible` (incumbent without a proof), `Infeasible` or `LimitHit`;
+//! * every solver reports an invalid graph alike: `Infeasible` with
+//!   [`SolveOutcome::error`] naming the defect.
+//!
+//! The older [`Scheduler`] trait remains for the heuristics only, as their
+//! sequential entry point returning the typed [`ScheduleError`].
 //!
 //! Solvers are instantiated by name through the
 //! [`SolverRegistry`](crate::SolverRegistry) and driven by an
@@ -347,8 +350,7 @@ impl Solver for MemHeftVariant {
         Scheduler::name(self)
     }
 
-    /// The variant's selection engine on `ctx.pool`; the variant's own
-    /// `parallel` field only applies to the [`Scheduler`] entry point.
+    /// The variant's selection engine on `ctx.pool`.
     fn solve(&self, graph: &TaskGraph, platform: &Platform, ctx: &SolveCtx) -> SolveOutcome {
         if let Err(e) = graph.validate() {
             return SolveOutcome::from_heuristic(Err(e.into()));

@@ -1,11 +1,21 @@
-//! The common interface of all schedulers in the workspace.
+//! The sequential entry point of the list-scheduling heuristics.
 
 use crate::error::ScheduleError;
 use mals_dag::TaskGraph;
 use mals_platform::Platform;
 use mals_sim::Schedule;
 
-/// A scheduling algorithm mapping a task graph onto a dual-memory platform.
+/// A list-scheduling heuristic mapping a task graph onto a dual-memory
+/// platform, run sequentially.
+///
+/// Only the heuristics implement it (`MemHeft`, `MemMinMin`,
+/// `MemHeftVariant`, `Unbounded<S>` and therefore `Heft` / `MinMin`). It is
+/// kept next to [`Solver`](crate::Solver) because it returns the typed
+/// [`ScheduleError`] — how many tasks were placed before a failure — that
+/// [`SolveOutcome`](crate::SolveOutcome) flattens into a status, and because
+/// code that only needs one sequential heuristic schedule (memory-oblivious
+/// baselines, benchmarks) reads best as `Heft::new().schedule(..)`. Exact
+/// solvers, pools, budgets and cancellation go through `Solver` only.
 ///
 /// Implementations must produce schedules that satisfy the flow, resource and
 /// memory constraints of the model (this is checked independently by

@@ -130,8 +130,8 @@ fn exact_solver_agrees_with_heuristics_on_easy_instances() {
     let dags = SetParams::small_rand().scaled(3, 7).generate();
     for graph in &dags {
         let platform = Platform::single_pair(200.0, 200.0);
-        let exact = BranchAndBound::default().solve(graph, &platform);
-        let opt = exact.makespan.expect("ample memory");
+        let exact = BranchAndBound.solve(graph, &platform, &SolveCtx::sequential());
+        let opt = exact.makespan().expect("ample memory");
         for scheduler in memory_aware() {
             let heuristic = scheduler.schedule(graph, &platform).unwrap().makespan();
             assert!(opt <= heuristic + 1e-9);

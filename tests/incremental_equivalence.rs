@@ -13,9 +13,10 @@
 use mals::dag::rank;
 use mals::gen::{DaggenParams, WeightRanges};
 use mals::prelude::*;
+use mals::sched::memheft::schedule_with_priority_pooled;
 use mals::sched::{MemHeftVariant, MemoryPreference, PartialSchedule, PriorityScheme};
 use mals::sim::memory_peaks;
-use mals::util::ParallelConfig;
+use mals::util::{CancelSignal, ParallelConfig, WorkerPool};
 use proptest::prelude::*;
 
 /// The pre-refactor MemHEFT selection engine: scan the priority list from
@@ -101,21 +102,20 @@ fn bounded(graph: &TaskGraph, platform: &Platform, fraction: f64) -> Platform {
     platform.with_memory_bounds(bound, bound)
 }
 
-fn assert_matches_reference<S: Scheduler>(
-    build: impl Fn(ParallelConfig) -> S,
+/// Runs a production selection engine on a fresh pool of 1, 2 and 4
+/// workers and asserts each whole result — schedule, or error with its
+/// placed-task count — equals the reference run.
+fn assert_matches_reference(
+    name: &str,
+    run: impl Fn(Option<&WorkerPool>) -> Result<Schedule, ScheduleError>,
     reference: &Result<Schedule, String>,
-    graph: &TaskGraph,
-    platform: &Platform,
 ) {
     for threads in [1usize, 2, 4] {
-        let scheduler = build(ParallelConfig::with_threads(threads));
-        let outcome = scheduler
-            .schedule(graph, platform)
-            .map_err(|e| e.to_string());
+        let pool = WorkerPool::new(ParallelConfig::with_threads(threads));
+        let outcome = run(Some(&pool)).map_err(|e| e.to_string());
         assert!(
             outcome == *reference,
-            "{} with {threads} threads diverged from the pre-refactor engine",
-            scheduler.name()
+            "{name} with {threads} threads diverged from the pre-refactor engine"
         );
     }
 }
@@ -135,9 +135,18 @@ proptest! {
             let bounded = bounded(&graph, &platform, fraction);
             let order = rank::rank_sorted_tasks(&graph);
             let memheft_ref = reference_priority_schedule(&graph, &bounded, &order, false);
-            assert_matches_reference(MemHeft::with_parallelism, &memheft_ref, &graph, &bounded);
+            let cancel = CancelSignal::default();
+            assert_matches_reference(
+                "MemHEFT",
+                |pool| schedule_with_priority_pooled(&graph, &bounded, &order, pool, false, cancel),
+                &memheft_ref,
+            );
             let memminmin_ref = reference_memminmin(&graph, &bounded);
-            assert_matches_reference(MemMinMin::with_parallelism, &memminmin_ref, &graph, &bounded);
+            assert_matches_reference(
+                "MemMinMin",
+                |pool| MemMinMin::new().schedule_pooled(&graph, &bounded, pool, cancel),
+                &memminmin_ref,
+            );
         }
     }
 
@@ -163,17 +172,13 @@ proptest! {
                 ..Default::default()
             };
             let order = variant.priority_list(&graph);
-            let reference = reference_priority_schedule(
-                &graph,
-                &bounded,
-                &order,
-                preference == MemoryPreference::Red,
-            );
+            let prefer_red = preference == MemoryPreference::Red;
+            let reference = reference_priority_schedule(&graph, &bounded, &order, prefer_red);
+            let cancel = CancelSignal::default();
             assert_matches_reference(
-                |parallel| MemHeftVariant { parallel, ..variant },
+                Scheduler::name(&variant),
+                |pool| schedule_with_priority_pooled(&graph, &bounded, &order, pool, prefer_red, cancel),
                 &reference,
-                &graph,
-                &bounded,
             );
         }
     }

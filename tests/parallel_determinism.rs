@@ -5,11 +5,13 @@
 //! validator. This is the contract that lets the experiment campaigns use
 //! `--threads` freely without perturbing any figure of the paper.
 
+use mals::dag::rank::rank_sorted_tasks;
 use mals::gen::{DaggenParams, WeightRanges};
 use mals::prelude::*;
-use mals::sched::MemHeftVariant;
+use mals::sched::memheft::schedule_with_priority_pooled;
+use mals::sched::{MemHeftVariant, MemoryPreference};
 use mals::sim::memory_peaks;
-use mals::util::ParallelConfig;
+use mals::util::{CancelSignal, ParallelConfig, WorkerPool};
 use proptest::prelude::*;
 
 const THREAD_LADDER: [usize; 4] = [1, 2, 4, 8];
@@ -36,36 +38,64 @@ fn arb_platform() -> impl Strategy<Value = Platform> {
     (1usize..=3, 1usize..=3).prop_map(|(p1, p2)| Platform::new(p1, p2, 0.0, 0.0).unwrap())
 }
 
-/// Runs one scheduler builder across the thread ladder and asserts all
-/// outcomes agree bit-for-bit with the 1-thread run (both the schedules and
-/// the failures), validating every schedule that comes out.
-fn assert_thread_invariant<S: Scheduler>(
-    build: impl Fn(ParallelConfig) -> S,
+/// A selection engine run on an externally owned pool.
+type Engine = fn(&TaskGraph, &Platform, Option<&WorkerPool>) -> Result<Schedule, ScheduleError>;
+
+/// MemHEFT's engine on its upward-rank priority list.
+fn memheft(
     graph: &TaskGraph,
     platform: &Platform,
-) {
-    let mut reference: Option<Result<Schedule, String>> = None;
+    pool: Option<&WorkerPool>,
+) -> Result<Schedule, ScheduleError> {
+    let order = rank_sorted_tasks(graph);
+    let cancel = CancelSignal::default();
+    schedule_with_priority_pooled(graph, platform, &order, pool, false, cancel)
+}
+
+/// MemMinMin's engine.
+fn memminmin(
+    graph: &TaskGraph,
+    platform: &Platform,
+    pool: Option<&WorkerPool>,
+) -> Result<Schedule, ScheduleError> {
+    MemMinMin::new().schedule_pooled(graph, platform, pool, CancelSignal::default())
+}
+
+/// The red-preference ablation variant's engine.
+fn memheft_red(
+    graph: &TaskGraph,
+    platform: &Platform,
+    pool: Option<&WorkerPool>,
+) -> Result<Schedule, ScheduleError> {
+    let variant = MemHeftVariant {
+        memory_preference: MemoryPreference::Red,
+        ..Default::default()
+    };
+    let order = variant.priority_list(graph);
+    let cancel = CancelSignal::default();
+    schedule_with_priority_pooled(graph, platform, &order, pool, true, cancel)
+}
+
+/// Runs one engine across the thread ladder, each rung on a fresh pool, and
+/// asserts every whole result agrees bit-for-bit with the 1-thread run (the
+/// schedules, and the failures with their placed-task counts), validating
+/// every schedule that comes out.
+fn assert_thread_invariant(name: &str, engine: Engine, graph: &TaskGraph, platform: &Platform) {
+    let mut reference: Option<Result<Schedule, ScheduleError>> = None;
     for threads in THREAD_LADDER {
-        let scheduler = build(ParallelConfig::with_threads(threads));
-        let outcome = scheduler
-            .schedule(graph, platform)
-            .map_err(|e| e.to_string());
+        let pool = WorkerPool::new(ParallelConfig::with_threads(threads));
+        let outcome = engine(graph, platform, Some(&pool));
         if let Ok(schedule) = &outcome {
             let report = validate(graph, platform, schedule);
             assert!(
                 report.is_valid(),
-                "{} with {threads} threads emitted an invalid schedule: {:?}",
-                scheduler.name(),
+                "{name} with {threads} threads emitted an invalid schedule: {:?}",
                 report.errors
             );
         }
         match &reference {
             None => reference = Some(outcome),
-            Some(expected) => assert!(
-                *expected == outcome,
-                "{} diverged at {threads} threads",
-                scheduler.name()
-            ),
+            Some(expected) => assert!(*expected == outcome, "{name} diverged at {threads} threads"),
         }
     }
 }
@@ -89,21 +119,21 @@ proptest! {
         );
         let bound = (reference.max() * fraction).ceil();
         let bounded = platform.with_memory_bounds(bound, bound);
-        assert_thread_invariant(MemHeft::with_parallelism, &graph, &bounded);
-        assert_thread_invariant(MemMinMin::with_parallelism, &graph, &bounded);
+        assert_thread_invariant("MemHEFT", memheft, &graph, &bounded);
+        assert_thread_invariant("MemMinMin", memminmin, &graph, &bounded);
     }
 
-    /// The memory-oblivious baselines go through the same engine and must be
-    /// equally invariant. They ignore memory bounds by design, so they are
-    /// exercised (and validated) on the unbounded platform.
+    /// The memory-oblivious baselines (HEFT, MinMin) are the same engines
+    /// on the unbounded platform and must be equally invariant; they are
+    /// exercised (and validated) there.
     #[test]
     fn oblivious_baselines_are_thread_count_invariant(
         graph in arb_graph(),
         platform in arb_platform(),
     ) {
         let unbounded = platform.unbounded();
-        assert_thread_invariant(Heft::with_parallelism, &graph, &unbounded);
-        assert_thread_invariant(MinMin::with_parallelism, &graph, &unbounded);
+        assert_thread_invariant("HEFT", memheft, &graph, &unbounded);
+        assert_thread_invariant("MinMin", memminmin, &graph, &unbounded);
     }
 
     /// The red-preference ablation variant exercises the engine's other
@@ -113,15 +143,7 @@ proptest! {
         graph in arb_graph(),
         platform in arb_platform(),
     ) {
-        assert_thread_invariant(
-            |parallel| MemHeftVariant {
-                memory_preference: mals::sched::MemoryPreference::Red,
-                parallel,
-                ..Default::default()
-            },
-            &graph,
-            &platform,
-        );
+        assert_thread_invariant("MemHEFT(rank, red)", memheft_red, &graph, &platform);
     }
 }
 
@@ -150,9 +172,8 @@ fn large_rand_1000_tasks_is_thread_count_invariant() {
     let report = validate(&graph, &bounded, &reference);
     assert!(report.is_valid(), "sequential: {:?}", report.errors);
     for threads in THREAD_LADDER {
-        let parallel = MemMinMin::with_parallelism(ParallelConfig::with_threads(threads))
-            .schedule(&graph, &bounded)
-            .unwrap();
+        let pool = WorkerPool::new(ParallelConfig::with_threads(threads));
+        let parallel = memminmin(&graph, &bounded, Some(&pool)).unwrap();
         assert_eq!(reference, parallel, "{threads} threads diverged at n=1000");
     }
 }

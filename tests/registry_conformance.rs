@@ -120,6 +120,28 @@ fn infeasible_instances_are_never_given_schedules_by_exact_solvers() {
     }
 }
 
+/// A cyclic graph is not an instance: every registered solver — heuristic,
+/// exact, portfolio or online — answers it the same way, `Infeasible` with
+/// the graph defect as its error and no search effort.
+#[test]
+fn invalid_graphs_are_reported_alike_by_every_solver() {
+    let mut graph = TaskGraph::new();
+    let a = graph.add_task("a", 1.0, 1.0);
+    let b = graph.add_task("b", 1.0, 1.0);
+    graph.add_edge(a, b, 1.0, 1.0).unwrap();
+    graph.add_edge(b, a, 1.0, 1.0).unwrap();
+    let expected = ScheduleError::from(graph.validate().unwrap_err()).to_string();
+    let platform = Platform::single_pair(10.0, 10.0);
+    for entry in registry().entries() {
+        let key = entry.info.key;
+        let outcome = entry.build(0).solve(&graph, &platform, &ctx());
+        assert_eq!(outcome.status, OptimalityStatus::Infeasible, "{key}");
+        assert!(outcome.schedule.is_none(), "{key}");
+        assert_eq!(outcome.nodes, 0, "{key}");
+        assert_eq!(outcome.error.as_deref(), Some(expected.as_str()), "{key}");
+    }
+}
+
 #[test]
 fn engine_batch_api_agrees_with_single_solves() {
     let graphs: Vec<TaskGraph> = (0..3)
